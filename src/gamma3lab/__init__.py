@@ -23,12 +23,15 @@ from .series import (
     reciprocal,
 )
 from .schwarz import (
+    BlaschkeBatch,
     BlaschkeProduct,
     SchwarzTriple,
     ZeroOutsideDisk,
     blaschke_value,
     carlson_check,
     is_feasible,
+    sample_batch,
+    sample_blocks,
     sample_schwarz,
     taylor_of_blaschke,
     triple_of_blaschke,
@@ -77,6 +80,7 @@ from .search import (
     FamilyMismatch,
     GapReport,
     SearchResult,
+    WitnessMismatch,
     gap_report,
     search_lower_bound,
 )

@@ -11,16 +11,21 @@ witnesses are finite Blaschke products: one zero is pinned at the origin
 inside the disk, so every product is a genuine Schwarz function by
 construction.
 
-Samplers are pure functions of their seed; parallel callers should use
-distinct seeds.
+The same products come one at a time (:class:`BlaschkeProduct`) or as a
+batch of one degree (:class:`BlaschkeBatch`, one complex array per zero),
+and :func:`triple_of_blaschke` reads (c1, c2, c3) off either with the
+same lines of arithmetic.  Samplers are pure functions of their seed:
+:func:`sample_batch` maps one stdlib stream to a batch, and a single
+product is row 0 of it.
 """
 
 from __future__ import annotations
 
-import cmath
-import math
 import random
 from dataclasses import dataclass
+from typing import Iterator
+
+import numpy as np
 
 from .config import TOL
 from .series import TruncatedSeries, multiply
@@ -32,16 +37,21 @@ class ZeroOutsideDisk(ValueError):
 
 @dataclass(frozen=True)
 class SchwarzTriple:
-    """First three Taylor coefficients of a Schwarz function."""
+    """First three Taylor coefficients of a Schwarz function.
+
+    The fields are complex numbers, or equal-shaped complex arrays holding
+    the coefficients of a batch of functions.
+    """
 
     c1: complex
     c2: complex
     c3: complex
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "c1", complex(self.c1))
-        object.__setattr__(self, "c2", complex(self.c2))
-        object.__setattr__(self, "c3", complex(self.c3))
+        # adding 0j makes complex numbers of ints and floats, scalar or array
+        object.__setattr__(self, "c1", self.c1 + 0j)
+        object.__setattr__(self, "c2", self.c2 + 0j)
+        object.__setattr__(self, "c3", self.c3 + 0j)
 
 
 @dataclass(frozen=True)
@@ -67,6 +77,38 @@ class BlaschkeProduct:
     @property
     def degree(self) -> int:
         return len(self.zeros) + 1
+
+
+@dataclass(frozen=True, eq=False)
+class BlaschkeBatch:
+    """Products of one degree, stored by zero: product j has the zeros
+    ``(zeros[0][j], zeros[1][j], ...)`` and the rotation ``rotation[j]``.
+
+    The invariants of :class:`BlaschkeProduct` hold for every product.
+    """
+
+    zeros: tuple[np.ndarray, ...]
+    rotation: np.ndarray
+
+    def __post_init__(self) -> None:
+        for a in self.zeros:
+            if a.shape != self.rotation.shape:
+                raise ValueError("every zero array must match the rotation array")
+            if (abs(a) >= 1.0).any():
+                raise ZeroOutsideDisk("a zero of the batch is not inside the unit disk")
+        if (abs(abs(self.rotation) - 1.0) > TOL.rotation_unimodular).any():
+            raise ValueError("a rotation of the batch is not unimodular")
+
+    @property
+    def degree(self) -> int:
+        return len(self.zeros) + 1
+
+    def __len__(self) -> int:
+        return len(self.rotation)
+
+    def product(self, j: int) -> BlaschkeProduct:
+        """Product j, with exactly the numbers of the batch."""
+        return BlaschkeProduct(tuple(a[j] for a in self.zeros), self.rotation[j])
 
 
 def blaschke_value(b: BlaschkeProduct, z: complex) -> complex:
@@ -103,42 +145,94 @@ def taylor_of_blaschke(b: BlaschkeProduct, order: int) -> TruncatedSeries:
     return TruncatedSeries(tuple(coeffs))
 
 
-def triple_of_blaschke(b: BlaschkeProduct) -> SchwarzTriple:
-    w = taylor_of_blaschke(b, 3)
-    return SchwarzTriple(w.coeffs[1], w.coeffs[2], w.coeffs[3])
+def triple_of_blaschke(b: BlaschkeProduct | BlaschkeBatch) -> SchwarzTriple:
+    """(c1, c2, c3) of a product, or arrays of them for a batch.
+
+    Each factor (z - a)/(1 - conj(a) z) = -a + (1 - |a|^2) z
+    + conj(a)(1 - |a|^2) z^2 + ... multiplies the running series
+    t0 + t1 z + t2 z^2; the pinned factor z and the rotation then shift
+    and scale it.  Only arithmetic, ``conjugate`` and ``real`` are used, so
+    the same lines run on complex scalars and on complex arrays.
+    :func:`taylor_of_blaschke` is the independent series route.
+    """
+    t0, t1, t2 = 1.0, 0.0, 0.0
+    for a in b.zeros:
+        ac = a.conjugate()
+        lead = 1.0 - (a * ac).real
+        t0, t1, t2 = -a * t0, lead * t0 - a * t1, ac * lead * t0 + lead * t1 - a * t2
+    return SchwarzTriple(b.rotation * t0, b.rotation * t1, b.rotation * t2)
 
 
-def sample_schwarz(seed: int, degree: int, real_only: bool = False) -> BlaschkeProduct:
-    """Deterministic random Blaschke product of the given degree.
+def _draws(degree: int, real_only: bool) -> int:
+    # uniforms per product: one per real zero or two per complex zero, one rotation
+    return (degree - 1) * (1 if real_only else 2) + 1
+
+
+def _batch_from_bytes(data: bytes, degree: int, real_only: bool) -> BlaschkeBatch:
+    """Products of the given degree from random bytes, 8 bytes per uniform.
+
+    Product j reads the j-th run of uniforms: for each zero a radius and an
+    angle draw (or one draw when real), then a rotation draw.
+    """
+    # the top 53 bits of each 64-bit word give a double in [0, 1), as random() does
+    bits = np.frombuffer(data, dtype="<u8") >> 11
+    u = (bits * 2.0**-53).reshape(-1, _draws(degree, real_only)).T
+    if real_only:
+        a = 2.0 * u[:-1] - 1.0
+        zeros = tuple(np.where(abs(a) < 1.0, a, 0.0) + 0j)  # a = -1 at u = 0
+        rotation = np.where(u[-1] < 0.5, 1.0, -1.0) + 0j
+    else:
+        zeros = tuple(np.sqrt(u[:-1:2]) * np.exp(2j * np.pi * u[1:-1:2]))
+        rotation = np.exp(2j * np.pi * u[-1])
+    return BlaschkeBatch(zeros, rotation)
+
+
+def sample_batch(seed: int, degree: int, n: int, real_only: bool = False) -> BlaschkeBatch:
+    """n deterministic random Blaschke products of the given degree.
 
     Complex zeros are area-uniform on the open disk (radius = sqrt(u));
     the rotation is uniform on the circle.  With ``real_only`` the zeros
     are uniform on (-1, 1) and the rotation is +-1, which makes all Taylor
-    coefficients real.
+    coefficients real.  All uniforms come from one ``random.Random(seed)``
+    stream, so the first m products do not depend on n >= m.
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
-    rng = random.Random(seed)
-    zeros = []
-    for _ in range(degree - 1):
-        if real_only:
-            a = 2.0 * rng.random() - 1.0
-            if abs(a) >= 1.0:
-                a = 0.0
-            zeros.append(complex(a))
-        else:
-            r = math.sqrt(rng.random())
-            theta = 2.0 * math.pi * rng.random()
-            zeros.append(cmath.rect(r, theta))
-    if real_only:
-        rotation = 1.0 + 0j if rng.random() < 0.5 else -1.0 + 0j
-    else:
-        rotation = cmath.exp(2j * math.pi * rng.random())
-    return BlaschkeProduct(tuple(zeros), rotation)
+    data = random.Random(seed).randbytes(8 * n * _draws(degree, real_only))
+    return _batch_from_bytes(data, degree, real_only)
+
+
+def sample_schwarz(seed: int, degree: int, real_only: bool = False) -> BlaschkeProduct:
+    """Deterministic random Blaschke product: row 0 of :func:`sample_batch`."""
+    return sample_batch(seed, degree, 1, real_only).product(0)
+
+
+def _derive_seed(master: int, index: int) -> int:
+    # fixed multiplicative mixing so distinct masters cannot share streams
+    return (master * 0x9E3779B97F4A7C15 + index) % (1 << 63)
+
+
+def sample_blocks(
+    seed: int, n: int, max_degree: int, real_only: bool = False
+) -> Iterator[BlaschkeBatch]:
+    """n products with degrees cycling 1..max_degree, one batch per degree.
+
+    Sample i has degree 1 + i % max_degree and is row i // max_degree of
+    that degree's batch.  Each batch draws from its own stream, seeded by
+    mixing ``seed`` with the degree, so distinct seeds draw distinct streams.
+    """
+    if max_degree < 1:
+        raise ValueError("max_degree must be >= 1")
+    for degree in range(1, max_degree + 1):
+        count = len(range(degree - 1, n, max_degree))
+        yield sample_batch(_derive_seed(seed, degree), degree, count, real_only)
 
 
 def carlson_check(c: SchwarzTriple) -> tuple[float, float, float]:
-    """Slack of each of the three coefficient bounds; all >= 0 when feasible."""
+    """Slack of each of the three coefficient bounds; all >= 0 when feasible.
+
+    On a triple of arrays the slacks are arrays.
+    """
     x1 = abs(c.c1)
     x2 = abs(c.c2)
     x3 = abs(c.c3)

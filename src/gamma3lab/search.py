@@ -9,10 +9,15 @@ refinement perturbs one zero coordinate (or the rotation angle) at a time,
 keeps improvements, and halves the step after a round without progress,
 which stays robust where coincident zeros make the landscape non-smooth.
 
-Runs are deterministic for a fixed (seed, iterations): per-sample seeds
-derive from the master seed by fixed integer mixing, so concurrent
-restarts with distinct indices cannot collide and results merge by a
-deterministic maximum.
+The global phase is batched: sample i has degree 1 + i % max_degree, and
+each degree's samples are one numpy batch drawn from its own stream, whose
+seed derives from the master seed and the degree by fixed integer mixing
+(:func:`gamma3lab.schwarz.sample_blocks`).  Distinct master seeds therefore
+share no stream, and runs are deterministic for a fixed (seed, iterations).
+The selected candidates are replayed through the series route before
+refinement, and refinement evaluates one product at a time through the
+same coefficient recurrence.  The proved bound each result is checked
+against is certified once per family per process.
 
 Whether the general (complex a2) upper bounds are attained is open; the
 gap report quantifies the remaining interval without drawing conclusions.
@@ -21,17 +26,28 @@ gap report quantifies the remaining interval without drawing conclusions.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
 from .config import TOL
 from .families import Family, gamma3_closed_form
 from .optimize import global_bound
-from .schwarz import BlaschkeProduct, sample_schwarz, triple_of_blaschke
+from .schwarz import (
+    BlaschkeProduct,
+    SchwarzTriple,
+    sample_blocks,
+    taylor_of_blaschke,
+    triple_of_blaschke,
+)
 
 
 class FamilyMismatch(ValueError):
     """Search result belongs to a different family than requested."""
+
+
+class WitnessMismatch(ValueError):
+    """A sampled value disagrees with its product's series-route value."""
 
 
 #: Sharp suprema of |gamma_3| under the restriction that a2 is real,
@@ -88,13 +104,28 @@ class GapReport:
     relative_gap: float
 
 
-def _derive_seed(master: int, index: int) -> int:
-    # fixed multiplicative mixing so distinct masters cannot share streams
-    return (master * 0x9E3779B97F4A7C15 + index) % (1 << 63)
+@functools.cache
+def _proved_bound(family: Family) -> float:
+    """The family's certified |gamma_3| bound, computed once per process."""
+    return global_bound(family).gamma3_bound
 
 
 def _evaluate(family: Family, b: BlaschkeProduct) -> float:
     return abs(gamma3_closed_form(family, triple_of_blaschke(b)))
+
+
+def _replay(family: Family, sampled: float, b: BlaschkeProduct) -> float:
+    """The candidate's value one product at a time, checked against the
+    series route; refinement starts from it, so every reported value is
+    exactly what ``_evaluate`` gives its witness."""
+    w = taylor_of_blaschke(b, 3)
+    series = abs(gamma3_closed_form(family, SchwarzTriple(*w.coeffs[1:])))
+    # a search value may exceed the proved bound by this much, so a replay may not drift further
+    if abs(sampled - series) > TOL.bound_compliance:
+        raise WitnessMismatch(
+            f"sampled value {sampled!r} of {b!r} disagrees with its series value {series!r}"
+        )
+    return _evaluate(family, b)
 
 
 def _perturbations(b: BlaschkeProduct, step: float, real_only: bool):
@@ -153,24 +184,24 @@ def search_lower_bound(
         raise ValueError("iterations must be >= 1")
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
+    upper_bound = _proved_bound(family)
     n_global = max(1, round(_GLOBAL_FRACTION * iterations))
-    top: list[tuple[float, int, BlaschkeProduct]] = []
-    for i in range(n_global):
-        degree = 1 + i % max_degree
-        b = sample_schwarz(_derive_seed(seed, i), degree, real_only)
-        v = _evaluate(family, b)
-        top.append((v, i, b))
-        if len(top) > _TOP_CANDIDATES:
-            top.sort(key=lambda t: (-t[0], t[1]))
-            del top[_TOP_CANDIDATES:]
-    top.sort(key=lambda t: (-t[0], t[1]))
+    sampled: list[tuple[float, int, BlaschkeProduct]] = []
+    for batch in sample_blocks(seed, n_global, max_degree, real_only):
+        values = abs(gamma3_closed_form(family, triple_of_blaschke(batch)))
+        for j in (-values).argsort(kind="stable")[:_TOP_CANDIDATES]:
+            # row j of the batch is sample i = degree - 1 + j * max_degree
+            i = batch.degree - 1 + int(j) * max_degree
+            sampled.append((float(values[j]), i, batch.product(j)))
+    sampled.sort(key=lambda t: (-t[0], t[1]))
+    top = [(_replay(family, v, b), b) for v, _, b in sampled[:_TOP_CANDIDATES]]
 
     budget = iterations - n_global
-    best_value, _, best = top[0]
+    best_value, best = top[0]
     if budget > 0:
         per_candidate = max(1, budget // len(top))
         remaining = budget
-        for v, _, b in top:
+        for v, b in top:
             if remaining <= 0:
                 break
             rb, rv, used = _refine(family, b, v, min(per_candidate, remaining))
@@ -178,14 +209,13 @@ def search_lower_bound(
             if rv > best_value:
                 best_value, best = rv, rb
 
-    report = global_bound(family)
     return SearchResult(
         family=family,
         best_value=best_value,
         witness=best,
         iterations=iterations,
         real_only=real_only,
-        upper_bound=report.gamma3_bound,
+        upper_bound=upper_bound,
         remark_value=REMARK_VALUES[family.tag] if real_only else None,
     )
 

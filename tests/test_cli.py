@@ -82,6 +82,10 @@ class TestVerifyCarlson:
         assert code == 0
         assert out.startswith("pass")
 
+    def test_byte_identical(self, capsys):
+        args = ("verify-carlson", "--samples", "2000", "--seed", "3", "--real-only")
+        assert run_cli(capsys, *args) == run_cli(capsys, *args)
+
 
 class TestSearch:
     def test_small_search_json(self, capsys):
@@ -102,6 +106,10 @@ class TestSearch:
         )
         assert code == 0
         assert json.loads(out)["remark_value"] is None
+
+    def test_byte_identical(self, capsys):
+        args = ("search", "f3", "--iterations", "2000", "--seed", "4", "--format", "json")
+        assert run_cli(capsys, *args) == run_cli(capsys, *args)
 
 
 class TestMilin:

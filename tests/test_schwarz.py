@@ -1,21 +1,30 @@
 import cmath
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gamma3lab import (
+    F1,
+    F2,
+    F3,
     BlaschkeProduct,
     SchwarzTriple,
     ZeroOutsideDisk,
     blaschke_value,
     carlson_check,
+    gamma3_closed_form,
     is_feasible,
+    sample_batch,
+    sample_blocks,
     sample_schwarz,
     taylor_of_blaschke,
     triple_of_blaschke,
 )
+
+from gamma3lab.schwarz import _batch_from_bytes
 
 from conftest import disk_complex
 
@@ -56,6 +65,44 @@ class TestTaylorOfBlaschke:
         w = taylor_of_blaschke(b, 20)
         z = 0.3 - 0.2j
         assert abs(w.evaluate(z) - blaschke_value(b, z)) <= 1e-9
+
+
+class TestTripleRecurrence:
+    def test_matches_series_on_scalars(self):
+        for degree in range(1, 7):
+            for seed in range(50):
+                b = sample_schwarz(seed, degree)
+                t = triple_of_blaschke(b)
+                w = taylor_of_blaschke(b, 3).coeffs
+                assert max(abs(t.c1 - w[1]), abs(t.c2 - w[2]), abs(t.c3 - w[3])) <= 1e-13
+
+    def test_matches_series_on_a_batch(self):
+        for degree in range(1, 7):
+            for real_only in (False, True):
+                batch = sample_batch(degree, degree, 200, real_only)
+                t = triple_of_blaschke(batch)
+                for j in range(len(batch)):
+                    w = taylor_of_blaschke(batch.product(j), 3).coeffs
+                    assert abs(t.c1[j] - w[1]) <= 1e-13
+                    assert abs(t.c2[j] - w[2]) <= 1e-13
+                    assert abs(t.c3[j] - w[3]) <= 1e-13
+
+    def test_row_of_a_batch_is_its_product(self):
+        # numpy's complex loops may fuse multiply-adds and divide by a
+        # reciprocal, so the batch agrees with the scalar route to a few
+        # units in the last place; the product carries the row exactly
+        eps = sys.float_info.epsilon
+        for real_only in (False, True):
+            batch = sample_batch(3, 4, 300, real_only)
+            triple = triple_of_blaschke(batch)
+            values = {f.tag: abs(gamma3_closed_form(f, triple)) for f in (F1, F2, F3)}
+            for j in range(len(batch)):
+                b = batch.product(j)
+                assert b.zeros == tuple(complex(a[j]) for a in batch.zeros)
+                assert b.rotation == complex(batch.rotation[j])
+                for f in (F1, F2, F3):
+                    scalar = abs(gamma3_closed_form(f, triple_of_blaschke(b)))
+                    assert abs(values[f.tag][j] - scalar) <= 4 * eps
 
 
 class TestBlaschkeProduct:
@@ -104,10 +151,78 @@ class TestSampleSchwarz:
         with pytest.raises(ValueError):
             sample_schwarz(1, 0)
 
+    def test_is_row_zero_of_the_batch(self):
+        for real_only in (False, True):
+            for degree in (1, 2, 5):
+                batch = sample_batch(31, degree, 40, real_only)
+                assert sample_schwarz(31, degree, real_only) == batch.product(0)
+
     def test_samples_pass_carlson(self):
         for seed in range(500):
             b = sample_schwarz(seed, 1 + seed % 6)
             assert all(s >= -1e-9 for s in carlson_check(triple_of_blaschke(b)))
+
+
+class TestSampleBatch:
+    def test_deterministic(self):
+        for real_only in (False, True):
+            a = sample_batch(7, 4, 100, real_only)
+            b = sample_batch(7, 4, 100, real_only)
+            assert all((x == y).all() for x, y in zip(a.zeros, b.zeros))
+            assert (a.rotation == b.rotation).all()
+
+    def test_prefix_does_not_depend_on_size(self):
+        short, long = sample_batch(7, 3, 10), sample_batch(7, 3, 1000)
+        assert all((x == y[:10]).all() for x, y in zip(short.zeros, long.zeros))
+        assert (short.rotation == long.rotation[:10]).all()
+
+    def test_real_only_all_zero_bytes_stay_inside_the_disk(self):
+        # u = 0 gives a = -1, which the guard sends to 0
+        n, degree = 8, 5
+        batch = _batch_from_bytes(bytes(8 * n * degree), degree, real_only=True)
+        assert len(batch) == n and batch.degree == degree
+        assert all((abs(a) < 1.0).all() for a in batch.zeros)
+        assert all((a == 0).all() for a in batch.zeros)
+        assert (batch.rotation == 1).all()
+        for j in range(n):
+            batch.product(j)
+
+    def test_real_only_structure(self):
+        batch = sample_batch(11, 4, 500, real_only=True)
+        assert all((a.imag == 0).all() and (abs(a) < 1).all() for a in batch.zeros)
+        assert set(batch.rotation.tolist()) == {1 + 0j, -1 + 0j}
+
+    def test_degree_validated(self):
+        with pytest.raises(ValueError):
+            sample_batch(1, 0, 5)
+        with pytest.raises(ValueError):
+            list(sample_blocks(1, 5, 0))
+
+
+def _products(blocks):
+    return {
+        (tuple(complex(a[j]) for a in batch.zeros), complex(batch.rotation[j]))
+        for batch in blocks
+        for j in range(len(batch))
+    }
+
+
+class TestSampleBlocks:
+    def test_degrees_cycle(self):
+        blocks = list(sample_blocks(5, 23, 4))
+        assert [b.degree for b in blocks] == [1, 2, 3, 4]
+        assert [len(b) for b in blocks] == [6, 6, 6, 5]
+        assert sum(len(b) for b in sample_blocks(5, 2, 4)) == 2
+
+    def test_distinct_seed_and_degree_streams_differ(self):
+        blocks = list(sample_blocks(1, 600, 6)) + list(sample_blocks(2, 600, 6))
+        rotations = [complex(r) for b in blocks for r in b.rotation]
+        assert len(set(rotations)) == len(rotations)
+
+    def test_seeds_one_and_seven_share_no_product(self):
+        # nearby seeds must not reuse each other's samples, as they would
+        # if sample i were seeded with seed + i
+        assert not _products(sample_blocks(1, 3000, 6)) & _products(sample_blocks(7, 3000, 6))
 
 
 class TestCarlsonCheck:

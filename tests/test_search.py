@@ -1,12 +1,20 @@
+import subprocess
+import sys
+
 import pytest
 
 from gamma3lab import (
     F1,
     F2,
     FamilyMismatch,
+    SchwarzTriple,
+    WitnessMismatch,
     gamma3_closed_form,
     gap_report,
+    sample_blocks,
+    search,
     search_lower_bound,
+    taylor_of_blaschke,
     triple_of_blaschke,
 )
 from gamma3lab.search import REMARK_VALUES, _refine
@@ -14,8 +22,8 @@ from gamma3lab.search import REMARK_VALUES, _refine
 
 class TestSearchLowerBound:
     def test_single_rotation_evaluation(self):
-        # seed 1 yields the rotation +1 sample, i.e. w(z) = z
-        r = search_lower_bound(F1, iterations=1, seed=1, real_only=True, max_degree=1)
+        # seed 2 yields the rotation +1 sample, i.e. w(z) = z
+        r = search_lower_bound(F1, iterations=1, seed=2, real_only=True, max_degree=1)
         assert r.best_value == 3 / 16
         assert r.witness.degree == 1
         assert r.witness.rotation == 1 + 0j
@@ -27,10 +35,15 @@ class TestSearchLowerBound:
         assert a.witness == b.witness
 
     def test_witness_reproduces_best_value(self):
-        for family in (F1, F2):
-            r = search_lower_bound(family, iterations=600, seed=3, max_degree=4)
+        # iterations=1 leaves no refinement budget, so the best is a sampled value
+        runs = [(family, 600, 3) for family in (F1, F2)] + [(F2, 1, s) for s in range(1, 11)]
+        for family, iterations, seed in runs:
+            r = search_lower_bound(family, iterations=iterations, seed=seed, max_degree=4)
             replay = abs(gamma3_closed_form(family, triple_of_blaschke(r.witness)))
-            assert abs(replay - r.best_value) <= 1e-12
+            assert replay == r.best_value
+            w = taylor_of_blaschke(r.witness, 3).coeffs
+            series = abs(gamma3_closed_form(family, SchwarzTriple(*w[1:])))
+            assert abs(series - r.best_value) <= 1e-9
 
     def test_respects_upper_bound(self):
         for seed in (1, 2, 3):
@@ -44,24 +57,34 @@ class TestSearchLowerBound:
         assert r.remark_value is None
 
     def test_refinement_never_loses_the_sampled_best(self):
-        from gamma3lab import sample_schwarz
-        from gamma3lab.search import _derive_seed
-
         iterations, seed, max_degree = 700, 9, 4
         n_global = round(0.7 * iterations)
         sampled_best = max(
-            abs(
-                gamma3_closed_form(
-                    F1,
-                    triple_of_blaschke(
-                        sample_schwarz(_derive_seed(seed, i), 1 + i % max_degree, False)
-                    ),
-                )
-            )
-            for i in range(n_global)
+            abs(gamma3_closed_form(F1, triple_of_blaschke(batch))).max()
+            for batch in sample_blocks(seed, n_global, max_degree)
         )
         r = search_lower_bound(F1, iterations=iterations, seed=seed, max_degree=max_degree)
         assert r.best_value >= sampled_best - 1e-15
+
+    def test_replay_catches_a_wrong_sampled_value(self, monkeypatch):
+        exact = search.triple_of_blaschke
+
+        def skewed(b):
+            t = exact(b)
+            return SchwarzTriple(t.c1, t.c2, t.c3 + 1e-6)
+
+        monkeypatch.setattr(search, "triple_of_blaschke", skewed)
+        with pytest.raises(WitnessMismatch):
+            search_lower_bound(F1, iterations=100, seed=1)
+
+    def test_bound_is_certified_once_per_family(self, monkeypatch):
+        calls = []
+        certify = search.global_bound
+        monkeypatch.setattr(search, "global_bound", lambda f: calls.append(f.tag) or certify(f))
+        search._proved_bound.cache_clear()
+        for family in (F2, F2, F1, F2):
+            search_lower_bound(family, iterations=50, seed=1)
+        assert calls == ["F2", "F1"]
 
     def test_refine_is_monotone(self):
         r = search_lower_bound(F1, iterations=200, seed=4, max_degree=3)
@@ -75,6 +98,17 @@ class TestSearchLowerBound:
             search_lower_bound(F1, iterations=0)
         with pytest.raises(ValueError):
             search_lower_bound(F1, iterations=10, max_degree=0)
+
+
+    def test_never_imports_numpy_random(self):
+        code = (
+            "import sys, gamma3lab; "
+            "gamma3lab.search_lower_bound(gamma3lab.F1, iterations=500); "
+            "print('numpy.random' in sys.modules)"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestGapReport:
