@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Reproduce the three |gamma_3| bound derivations and print a summary table.
 
-Usage: python scripts/run_bounds.py [--grid-step 0.05]
+Usage: python scripts/run_bounds.py
 """
 
 import argparse
@@ -10,15 +10,13 @@ from gamma3lab import FAMILIES, global_bound
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--grid-step", type=float, default=0.05)
-    args = parser.parse_args()
+    argparse.ArgumentParser(description=__doc__).parse_args()
 
     header = f"{'family':<8}{'interior max':>16}{'best edge':>14}{'grid check':>14}{'|gamma3| bound':>17}"
     print(header)
     print("-" * len(header))
     for tag in ("f1", "f2", "f3"):
-        report = global_bound(FAMILIES[tag], grid_step=args.grid_step)
+        report = global_bound(FAMILIES[tag])
         interior = max(v for _, v in report.interior_points)
         best_edge = max(v for _, _, v in report.edge_maxima)
         print(

@@ -60,6 +60,8 @@ from .objective import (
     RegionPoint,
     bound_from_value,
     gradient_xy,
+    hessian_xy,
+    is_negative_definite,
     objective_gradient,
     objective_value,
     value_xy,
@@ -71,9 +73,7 @@ from .optimize import (
     UnknownEdge,
     edge_maximum,
     global_bound,
-    hessian_xy,
     interior_critical_points,
-    is_negative_definite,
 )
 from .search import (
     REMARK_VALUES,

@@ -19,6 +19,7 @@ invariant fails.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import sys
@@ -46,7 +47,6 @@ class RunConfig:
     command: str
     family: fam.Family | None = None
     grid_step: float = 0.05
-    newton_tol: float = 1e-12
     iterations: int = 100_000
     seed: int = 1
     max_degree: int = 4
@@ -95,7 +95,7 @@ def _bound_json(report: optimize.BoundReport) -> dict:
 
 
 def _cmd_bound(cfg: RunConfig) -> int:
-    report = optimize.global_bound(cfg.family, cfg.grid_step, cfg.newton_tol)
+    report = optimize.global_bound(cfg.family)
     if cfg.fmt == "json":
         _emit_json(_bound_json(report))
     elif cfg.fmt == "csv":
@@ -223,42 +223,40 @@ def _cmd_milin(cfg: RunConfig) -> int:
 
 
 def build_parser() -> _Parser:
+    # options left out of a command line are absent from the namespace, so
+    # their defaults are RunConfig's
     parser = _Parser(prog="gamma3lab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, family=True):
+    def add_command(name, summary, family=True):
+        p = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
         if family:
             p.add_argument("family", choices=["f1", "f2", "f3"])
-        p.add_argument("--format", choices=["text", "json", "csv"], default="text")
+        p.add_argument("--format", dest="fmt", choices=["text", "json", "csv"])
+        return p
 
-    p_bound = sub.add_parser("bound", help="certified maximization report")
-    add_common(p_bound)
-    p_bound.add_argument("--grid-step", type=float, default=0.05)
-    p_bound.add_argument("--newton-tol", type=float, default=1e-12)
+    p_bound = add_command("bound", "certified maximization report")
+    p_bound.add_argument("--grid-step", type=float, help="lattice step of the csv dump")
 
-    p_gamma = sub.add_parser("gamma", help="closed form vs series oracle")
-    add_common(p_gamma)
-    p_gamma.add_argument("--c1", type=complex, default=0j)
-    p_gamma.add_argument("--c2", type=complex, default=0j)
-    p_gamma.add_argument("--c3", type=complex, default=0j)
+    p_gamma = add_command("gamma", "closed form vs series oracle")
+    p_gamma.add_argument("--c1", type=complex)
+    p_gamma.add_argument("--c2", type=complex)
+    p_gamma.add_argument("--c3", type=complex)
 
-    p_carlson = sub.add_parser("verify-carlson", help="coefficient-bound fuzzing")
-    add_common(p_carlson, family=False)
-    p_carlson.add_argument("--samples", type=int, default=100_000)
-    p_carlson.add_argument("--seed", type=int, default=1)
+    p_carlson = add_command("verify-carlson", "coefficient-bound fuzzing", family=False)
+    p_carlson.add_argument("--samples", type=int)
+    p_carlson.add_argument("--seed", type=int)
     p_carlson.add_argument("--real-only", action="store_true")
 
-    p_search = sub.add_parser("search", help="extremal lower-bound search")
-    add_common(p_search)
-    p_search.add_argument("--iterations", type=int, default=100_000)
-    p_search.add_argument("--seed", type=int, default=1)
-    p_search.add_argument("--max-degree", type=int, default=4)
+    p_search = add_command("search", "extremal lower-bound search")
+    p_search.add_argument("--iterations", type=int)
+    p_search.add_argument("--seed", type=int)
+    p_search.add_argument("--max-degree", type=int)
     p_search.add_argument("--real-only", action="store_true")
 
-    p_milin = sub.add_parser("milin", help="Milin functional of a reference function")
-    p_milin.add_argument("--function", choices=["koebe", "identity"], default="koebe")
-    p_milin.add_argument("--n", type=int, default=3)
-    p_milin.add_argument("--format", choices=["text", "json", "csv"], default="text")
+    p_milin = add_command("milin", "Milin functional of a reference function", family=False)
+    p_milin.add_argument("--function", choices=["koebe", "identity"])
+    p_milin.add_argument("--n", type=int)
 
     return parser
 
@@ -268,8 +266,8 @@ def _validate(cfg: RunConfig) -> None:
         raise _UsageError("csv output is only available for 'bound'")
     if not 0.0 < cfg.grid_step <= 0.1:
         raise _UsageError("--grid-step must lie in (0, 0.1]")
-    if cfg.newton_tol < 1e-15:
-        raise _UsageError("--newton-tol below 1e-15 is not resolvable")
+    if not all(cmath.isfinite(c) for c in (cfg.c1, cfg.c2, cfg.c3)):
+        raise _UsageError("--c1, --c2 and --c3 must be finite")
     if cfg.iterations < 1:
         raise _UsageError("--iterations must be >= 1")
     if cfg.max_degree < 1:
@@ -295,25 +293,10 @@ def run(cfg: RunConfig) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
-        cfg = RunConfig(
-            command=ns.command,
-            family=fam.family_by_tag(ns.family) if hasattr(ns, "family") else None,
-            grid_step=getattr(ns, "grid_step", 0.05),
-            newton_tol=getattr(ns, "newton_tol", 1e-12),
-            iterations=getattr(ns, "iterations", 100_000),
-            seed=getattr(ns, "seed", 1),
-            max_degree=getattr(ns, "max_degree", 4),
-            real_only=getattr(ns, "real_only", False),
-            fmt=ns.format,
-            c1=getattr(ns, "c1", 0j),
-            c2=getattr(ns, "c2", 0j),
-            c3=getattr(ns, "c3", 0j),
-            samples=getattr(ns, "samples", 100_000),
-            function=getattr(ns, "function", "koebe"),
-            n=getattr(ns, "n", 3),
-        )
-        return run(cfg)
+        args = vars(parser.parse_args(argv))
+        if "family" in args:
+            args["family"] = fam.family_by_tag(args["family"])
+        return run(RunConfig(**args))
     except _UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         parser.print_usage(sys.stderr)

@@ -26,12 +26,8 @@ class Tolerances:
     # objective region
     region_slack: float = 1e-12        # membership slack for the region E
     # optimizer
-    newton_tol: float = 1e-12          # gradient norm at convergence
-    newton_fd_step: float = 1e-7       # finite-difference step for the Jacobian
-    dedupe_distance: float = 1e-8      # critical points closer than this merge
     tie_break: float = 1e-12           # values within this count as equal
-    certification: float = 1e-6        # dense grid may not exceed max by this
-    bisection_tol: float = 1e-14       # root isolation on edge polynomials
+    certification: float = 1e-9        # dense grid may not exceed max by this
     # search
     bound_compliance: float = 1e-9     # |gamma3| may not exceed a bound by this
     remark_compliance: float = 1e-6    # slack against the sharp real-a2 values

@@ -1,18 +1,18 @@
 """Maximization of the family objectives over the region E.
 
-The maximum is assembled the same way the case analysis runs: Newton
-iteration on the gradient system from a lattice of interior seeds finds
-the critical points; each boundary edge reduces to a univariate polynomial
-whose critical points have closed forms (or a bisection bracket for the
-cubic case); the global maximum is the largest of all candidate values and
-divides by the family scale to give the |gamma_3| bound.  A dense lattice
-sweep over E certifies the result: if the sweep ever exceeds the analytic
-maximum beyond tolerance, some formula was transcribed wrong and
-:class:`CertificationMismatch` is raised.
+Every step of the case analysis has a closed form.  Setting df/dy = 0
+gives t = y/(1+x) = p + qx with p = |w2|/(2 w3) and q = |w12|/(2 w3);
+substituting it into df/dx = 0 leaves a quadratic in x, whose roots
+inside E are the interior critical points.  Each boundary edge restricts
+the objective to a polynomial of degree at most three (on the parabolic
+edge 1 - x^2 - y^2/(1+x) = x - x^3), whose coefficients are read off the
+weights, so its critical points are roots of a quadratic too.  The global
+maximum is the largest candidate value and divides by the family scale to
+give the |gamma_3| bound.
 
-Grid seeding and the dense sweep are embarrassingly parallel; this
-implementation runs them sequentially with a deterministic reduction, so
-results do not depend on scheduling.
+A dense lattice sweep over E is the independent route: if it ever exceeds
+the analytic maximum beyond ``TOL.certification``, some formula was
+transcribed wrong and :class:`CertificationMismatch` is raised.
 """
 
 from __future__ import annotations
@@ -24,10 +24,14 @@ import numpy as np
 
 from .config import TOL
 from .families import Family
-from .objective import RegionPoint, gradient_xy, value_xy
+from .objective import RegionPoint, value_xy
 
 
 EDGES = ("bottom", "left", "top")  # y = 0, x = 0, y = 1 - x^2
+
+#: A published transcription of the third family's top-edge restriction;
+#: substitution gives -16x^3 where it has -20x^3.
+PUBLISHED_F3_TOP = (9.0, 22.0, -4.0, -20.0)
 
 
 class UnknownEdge(ValueError):
@@ -36,18 +40,6 @@ class UnknownEdge(ValueError):
 
 class CertificationMismatch(RuntimeError):
     """Dense-grid sweep exceeded the analytic maximum; formula bug likely."""
-
-
-# Computed top-edge restriction for the third family is 9 + 22x - 4x^2 - 16x^3
-# (consistent with the second-family-plus-two identity); a published
-# transcription lists -20x^3 instead.  Both stay below the interior maximum,
-# so the final bound is unaffected either way.
-F3_TOP_EDGE_NOTE = (
-    "top edge by substitution: 9 + 22x - 4x^2 - 16x^3 with maximum "
-    "17.304049 at x = 0.598779; a published transcription gives "
-    "9 + 22x - 4x^2 - 20x^3 with maximum 16.56455 instead; both lie below "
-    "the interior maximum 17.75, so the bound stands under either reading."
-)
 
 
 @dataclass(frozen=True)
@@ -68,188 +60,98 @@ class BoundReport:
             raise ValueError("global_max must equal the largest candidate value")
         if abs(self.gamma3_bound - self.global_max / self.family.scale) > TOL.tie_break:
             raise ValueError("gamma3_bound must equal global_max / scale")
-        if self.grid_max > self.global_max + TOL.bound_compliance:
-            raise ValueError("grid sweep exceeds the analytic maximum")
+        if self.grid_max > self.global_max + TOL.certification:
+            raise CertificationMismatch(
+                f"dense grid reached {self.grid_max!r} > analytic maximum "
+                f"{self.global_max!r}; a formula was likely transcribed wrong"
+            )
 
 
-def hessian_xy(
-    family: Family, x: float, y: float, step: float = 1e-6
-) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Symmetrized finite-difference Hessian from the analytic gradient."""
-    gxp = gradient_xy(family, x + step, y)
-    gxm = gradient_xy(family, x - step, y)
-    gyp = gradient_xy(family, x, y + step)
-    gym = gradient_xy(family, x, y - step)
-    hxx = (gxp[0] - gxm[0]) / (2 * step)
-    hyy = (gyp[1] - gym[1]) / (2 * step)
-    hxy = 0.5 * ((gxp[1] - gxm[1]) / (2 * step) + (gyp[0] - gym[0]) / (2 * step))
-    return ((hxx, hxy), (hxy, hyy))
+def _quadratic_roots(c0: float, c1: float, c2: float) -> list[float]:
+    """Real roots of c0 + c1 t + c2 t^2, degenerate degrees included."""
+    if c2 == 0.0:
+        return [] if c1 == 0.0 else [-c0 / c1]
+    disc = c1 * c1 - 4.0 * c2 * c0
+    if disc < 0.0:
+        return []
+    q = -0.5 * (c1 + math.copysign(math.sqrt(disc), c1))
+    return [q / c2] if q == 0.0 else [q / c2, c0 / q]
 
 
-def is_negative_definite(h: tuple[tuple[float, float], tuple[float, float]]) -> bool:
-    return h[0][0] < 0.0 and h[0][0] * h[1][1] - h[0][1] * h[1][0] > 0.0
+def interior_critical_points(family: Family) -> list[tuple[RegionPoint, float]]:
+    """All gradient zeros strictly inside E, in closed form.
 
-
-def _newton(
-    family: Family, x0: float, y0: float, tol: float, max_iter: int = 60
-) -> tuple[float, float] | None:
-    """Newton on the gradient system with a finite-difference Jacobian."""
-    h = TOL.newton_fd_step
-    x, y = x0, y0
-    for _ in range(max_iter):
-        gx, gy = gradient_xy(family, x, y)
-        if math.hypot(gx, gy) <= tol:
-            return (x, y)
-        gxp = gradient_xy(family, x + h, y)
-        gxm = gradient_xy(family, x - h, y)
-        gyp = gradient_xy(family, x, y + h)
-        gym = gradient_xy(family, x, y - h)
-        j00 = (gxp[0] - gxm[0]) / (2 * h)
-        j01 = (gyp[0] - gym[0]) / (2 * h)
-        j10 = (gxp[1] - gxm[1]) / (2 * h)
-        j11 = (gyp[1] - gym[1]) / (2 * h)
-        det = j00 * j11 - j01 * j10
-        if abs(det) < 1e-14:
-            return None
-        dx = (-gx * j11 + gy * j01) / det
-        dy = (-j00 * gy + j10 * gx) / det
-        x += dx
-        y += dy
-        # iterates wandering far outside E never come back to it
-        if not (-0.5 < x < 1.5 and -0.5 < y < 1.5):
-            return None
-    return None
-
-
-def _strictly_inside(x: float, y: float, margin: float = 1e-9) -> bool:
-    return margin < x < 1.0 - margin and margin < y < 1.0 - x * x - margin
-
-
-def interior_critical_points(
-    family: Family, grid_step: float = 0.05, tol: float = TOL.newton_tol
-) -> list[tuple[RegionPoint, float]]:
-    """All gradient zeros strictly inside E, found from lattice seeds.
-
-    Non-convergent seeds are discarded; converged points are deduplicated
-    at distance 1e-8 and returned sorted by value (descending), ties by
-    smaller x then smaller y.
+    Returned sorted by value (descending), ties by smaller x then smaller y.
     """
-    if not 0.0 < grid_step <= 0.1:
-        raise ValueError("grid_step must lie in (0, 0.1]")
-    if tol < 1e-15:
-        raise ValueError("tol below 1e-15 is not resolvable in double precision")
-    found: list[tuple[float, float]] = []
-    x = grid_step
-    while x < 1.0:
-        y = grid_step
-        ymax = 1.0 - x * x
-        while y < ymax:
-            limit = _newton(family, x, y, tol)
-            if limit is not None and _strictly_inside(*limit):
-                for px, py in found:
-                    if math.hypot(limit[0] - px, limit[1] - py) < TOL.dedupe_distance:
-                        break
-                else:
-                    found.append(limit)
-            y += grid_step
-        x += grid_step
-    results = [
-        (RegionPoint(px, py), value_xy(family, px, py)) for px, py in found
-    ]
+    _, w1, w2, w3, w12, w111 = map(abs, family.gamma3_weights)
+    p, q = w2 / (2.0 * w3), w12 / (2.0 * w3)
+    # df/dx along t = p + qx, collected by powers of x
+    c0 = w1 + w3 * p * p + w12 * p
+    c1 = -2.0 * w3 + 2.0 * w3 * p * q + w12 * (p + q)
+    c2 = w3 * q * q + w12 * q + 3.0 * w111
+    results = []
+    for x in _quadratic_roots(c0, c1, c2):
+        y = (1.0 + x) * (p + q * x)
+        if 1e-9 < x < 1.0 - 1e-9 and 1e-9 < y < 1.0 - x * x - 1e-9:
+            results.append((RegionPoint(x, y), value_xy(family, x, y)))
     results.sort(key=lambda item: (-item[1], item[0].x, item[0].y))
     return results
 
 
-def _edge_path(edge: str, t: float) -> tuple[float, float]:
+def _edge_polynomial(family: Family, edge: str) -> tuple[float, ...]:
+    """Coefficients (ascending) of the objective restricted to an edge.
+
+    The parameter is x on the bottom and parabolic edges and y on the left.
+    """
+    w0, w1, w2, w3, w12, w111 = map(abs, family.gamma3_weights)
     if edge == "bottom":
-        return (t, 0.0)
+        return (w0 + w3, w1, -w3, w111)
     if edge == "left":
-        return (0.0, t)
+        return (w0 + w3, w2, -w3)
     if edge == "top":
-        return (t, 1.0 - t * t)
+        return (w0 + w2, w1 + w3 + w12, -w2, w111 - w3 - w12)
     raise UnknownEdge(f"unknown edge {edge!r}; expected one of {EDGES}")
 
 
-def _edge_polynomial(family: Family, edge: str) -> np.ndarray:
-    """Coefficients (ascending) of the objective restricted to an edge.
-
-    Restriction along each edge is a polynomial of degree at most four
-    (the parabolic edge cancels the 1+x denominator), so an exact fit
-    through five nodes recovers it; fit noise is trimmed off the top.
-    """
-    ts = np.linspace(0.0, 1.0, 5)
-    vals = np.array([value_xy(family, *_edge_path(edge, t)) for t in ts])
-    coeffs = np.linalg.solve(np.vander(ts, 5, increasing=True), vals)
-    cut = 1e-8 * max(1.0, float(np.max(np.abs(coeffs))))
-    deg = len(coeffs) - 1
-    while deg > 0 and abs(coeffs[deg]) <= cut:
-        deg -= 1
-    return coeffs[: deg + 1]
-
-
-def _real_roots_unit_interval(coeffs: np.ndarray) -> list[float]:
-    """Real roots in [0, 1] of a polynomial of degree <= 3 (ascending coeffs)."""
-    c = list(map(float, coeffs))
-    roots: list[float] = []
-    deg = len(c) - 1
-    if deg <= 0:
-        return roots
-    if deg == 1:
-        roots.append(-c[0] / c[1])
-    elif deg == 2:
-        disc = c[1] * c[1] - 4.0 * c[2] * c[0]
-        if disc >= 0.0:
-            q = math.sqrt(disc)
-            roots.extend([(-c[1] - q) / (2 * c[2]), (-c[1] + q) / (2 * c[2])])
-    else:
-        # cubic (or higher defensive): bracket sign changes, then bisect
-        def p(t: float) -> float:
-            acc = 0.0
-            for ck in reversed(c):
-                acc = acc * t + ck
-            return acc
-
-        grid = np.linspace(0.0, 1.0, 2001)
-        vals = [p(t) for t in grid]
-        for i in range(len(grid) - 1):
-            a, b = grid[i], grid[i + 1]
-            fa, fb = vals[i], vals[i + 1]
-            if fa == 0.0:
-                roots.append(float(a))
-                continue
-            if fa * fb < 0.0:
-                while b - a > TOL.bisection_tol:
-                    m = 0.5 * (a + b)
-                    fm = p(m)
-                    if fa * fm <= 0.0:
-                        b = m
-                    else:
-                        a, fa = m, fm
-                roots.append(0.5 * (a + b))
-        if vals[-1] == 0.0:
-            roots.append(1.0)
+def _maximize_on_unit_interval(coeffs: tuple[float, ...]) -> tuple[float, float]:
+    """(argmax, value) over [0, 1] of a polynomial of degree <= 3."""
+    padded = tuple(coeffs) + (0.0,) * (4 - len(coeffs))
+    roots = _quadratic_roots(padded[1], 2.0 * padded[2], 3.0 * padded[3])
     eps = 1e-12
-    return [min(1.0, max(0.0, r)) for r in roots if -eps <= r <= 1.0 + eps]
+    candidates = [0.0, 1.0] + [min(1.0, max(0.0, r)) for r in roots if -eps <= r <= 1.0 + eps]
+    best_t, best_v = 0.0, -math.inf
+    for t in sorted(candidates):
+        v = float(np.polynomial.polynomial.polyval(t, coeffs))
+        if v > best_v + TOL.tie_break:
+            best_t, best_v = t, v
+    return (best_t, best_v)
 
 
 def edge_maximum(family: Family, edge: str) -> tuple[float, float]:
     """(argmax, value) of the objective on one boundary edge of E.
 
-    The edge parameter is x on the bottom and parabolic edges and y on the
-    left edge; the maximum is taken over the derivative's real roots and
-    the endpoints.
+    The maximum is taken over the derivative's real roots and the endpoints.
     """
-    if edge not in EDGES:
-        raise UnknownEdge(f"unknown edge {edge!r}; expected one of {EDGES}")
-    poly = _edge_polynomial(family, edge)
-    deriv = np.array([k * poly[k] for k in range(1, len(poly))])
-    candidates = [0.0, 1.0] + (_real_roots_unit_interval(deriv) if len(deriv) else [])
-    best_t, best_v = 0.0, -math.inf
-    for t in sorted(candidates):
-        v = float(np.polynomial.polynomial.polyval(t, poly))
-        if v > best_v + TOL.tie_break:
-            best_t, best_v = t, v
-    return (best_t, best_v)
+    return _maximize_on_unit_interval(_edge_polynomial(family, edge))
+
+
+def _poly_text(coeffs: tuple[float, ...]) -> str:
+    text = f"{coeffs[0]:g}"
+    for k, c in enumerate(coeffs[1:], 1):
+        text += f" {'-' if c < 0 else '+'} {abs(c):g}x" + (f"^{k}" if k > 1 else "")
+    return text
+
+
+def _f3_top_edge_note(family: Family, t: float, v: float, global_max: float) -> str:
+    """The top edge (argmax t, value v) against its published transcription."""
+    _, published_v = _maximize_on_unit_interval(PUBLISHED_F3_TOP)
+    return (
+        f"top edge by substitution: {_poly_text(_edge_polynomial(family, 'top'))} "
+        f"with maximum {v:.6f} at x = {t:.6f}; a published transcription gives "
+        f"{_poly_text(PUBLISHED_F3_TOP)} with maximum {published_v:.5f} instead; "
+        f"both lie below the interior maximum {global_max:g}, so the bound "
+        "stands under either reading."
+    )
 
 
 def _dense_grid_max(family: Family, step: float = 1e-3) -> float:
@@ -276,27 +178,21 @@ def _dense_grid_max(family: Family, step: float = 1e-3) -> float:
     return max(interior, top)
 
 
-def global_bound(
-    family: Family, grid_step: float = 0.05, tol: float = TOL.newton_tol
-) -> BoundReport:
+def global_bound(family: Family) -> BoundReport:
     """Assemble interior and edge maxima into the certified bound report."""
-    interior = interior_critical_points(family, grid_step, tol)
+    interior = interior_critical_points(family)
     edges = tuple((e,) + edge_maximum(family, e) for e in EDGES)
-    values = [v for _, v in interior] + [v for _, _, v in edges]
-    global_max = max(values)
-    grid_max = _dense_grid_max(family)
-    if grid_max > global_max + TOL.certification:
-        raise CertificationMismatch(
-            f"dense grid reached {grid_max!r} > analytic maximum {global_max!r}; "
-            "a formula was likely transcribed wrong"
-        )
-    notes = (F3_TOP_EDGE_NOTE,) if family.tag == "F3" else ()
+    global_max = max([v for _, v in interior] + [v for _, _, v in edges])
+    notes = ()
+    if family.tag == "F3":
+        _, top_t, top_v = edges[2]
+        notes = (_f3_top_edge_note(family, top_t, top_v, global_max),)
     return BoundReport(
         family=family,
         interior_points=tuple(interior),
         edge_maxima=edges,
         global_max=global_max,
         gamma3_bound=global_max / family.scale,
-        grid_max=grid_max,
+        grid_max=_dense_grid_max(family),
         notes=notes,
     )

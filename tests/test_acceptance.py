@@ -240,6 +240,7 @@ def test_criterion_7_restricted_sharpness_probe(capsys):
 def test_criterion_8_gradient_and_hessian(capsys):
     rng = random.Random(1234)
     worst_rel = 0.0
+    worst_hess_rel = 0.0
     h = 1e-6
     for family in ALL_FAMILIES:
         for _ in range(1000):
@@ -250,15 +251,23 @@ def test_criterion_8_gradient_and_hessian(capsys):
             fy = (value_xy(family, x, y + h) - value_xy(family, x, y - h)) / (2 * h)
             rel = math.hypot(gx - fx, gy - fy) / max(1.0, math.hypot(gx, gy))
             worst_rel = max(worst_rel, rel)
+            (hxx, hxy), (hyx, hyy) = hessian_xy(family, x, y)
+            gxp, gxm = gradient_xy(family, x + h, y), gradient_xy(family, x - h, y)
+            gyp, gym = gradient_xy(family, x, y + h), gradient_xy(family, x, y - h)
+            fd = [(p - m) / (2 * h) for p, m in zip(gxp + gyp, gxm + gym)]
+            errors = (hxx - fd[0], hxy - fd[1], hyx - fd[2], hyy - fd[3])
+            scale = max(1.0, math.hypot(hxx, hxy, hyx, hyy))
+            worst_hess_rel = max(worst_hess_rel, math.hypot(*errors) / scale)
     definite = []
     for family in ALL_FAMILIES:
-        ((p, _),) = interior_critical_points(family, 0.05, 1e-12)
+        ((p, _),) = interior_critical_points(family)
         definite.append(is_negative_definite(hessian_xy(family, p.x, p.y)))
     with capsys.disabled():
         report(
             8,
-            worst_rel <= 1e-6 and all(definite),
+            worst_rel <= 1e-6 and worst_hess_rel <= 1e-6 and all(definite),
             f"3000 points, worst relative gradient error {worst_rel:.3e}, "
+            f"Hessian error {worst_hess_rel:.3e}, "
             f"Hessians negative-definite: {definite}",
         )
 

@@ -159,3 +159,12 @@ class TestUsageErrors:
     def test_missing_command_exits_one(self, capsys):
         code, _, _ = run_cli(capsys)
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "option, value", [("--c1", "nan"), ("--c2", "inf"), ("--c3", "1+nanj")]
+    )
+    def test_non_finite_coefficient_exits_one(self, capsys, option, value):
+        code, out, err = run_cli(capsys, "gamma", "f1", option, value, "--format", "json")
+        assert code == 1
+        assert out == ""
+        assert "finite" in err

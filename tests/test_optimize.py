@@ -24,35 +24,29 @@ Y2 = (47 - 14 * math.sqrt(7)) / 108
 
 class TestInteriorCriticalPoints:
     def test_first_family_unique_point(self):
-        points = interior_critical_points(F1, 0.05, 1e-12)
+        points = interior_critical_points(F1)
         assert len(points) == 1
         (p, v) = points[0]
         assert math.hypot(p.x - 0.25, p.y - 0.3125) <= 1e-9
         assert abs(v - 15.75) <= 1e-9
 
     def test_second_family_unique_point(self):
-        points = interior_critical_points(F2, 0.05, 1e-12)
+        points = interior_critical_points(F2)
         assert len(points) == 1
         (p, v) = points[0]
         assert math.hypot(p.x - X2, p.y - Y2) <= 1e-9
         assert abs(v - 3.10518) <= 1e-5
 
     def test_third_family_unique_point(self):
-        points = interior_critical_points(F3, 0.05, 1e-12)
+        points = interior_critical_points(F3)
         assert len(points) == 1
         (p, v) = points[0]
         assert math.hypot(p.x - 0.25, p.y - 0.3125) <= 1e-9
         assert abs(v - 17.75) <= 1e-9
 
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            interior_critical_points(F1, 0.2)
-        with pytest.raises(ValueError):
-            interior_critical_points(F1, 0.05, 1e-16)
-
     def test_hessian_negative_definite_at_maxima(self):
         for family in (F1, F2, F3):
-            (p, _), = interior_critical_points(family, 0.05, 1e-12)
+            (p, _), = interior_critical_points(family)
             assert is_negative_definite(hessian_xy(family, p.x, p.y))
 
 
@@ -86,7 +80,7 @@ class TestEdgeMaximum:
         with pytest.raises(UnknownEdge):
             edge_maximum(F1, "diagonal")
 
-    def test_fitted_restrictions_match_hand_substitution(self):
+    def test_edge_restrictions_match_hand_substitution(self):
         # substituting y=0, x=0 and y=1-x^2 into the objectives by hand
         expected = {
             ("F1", "bottom"): (15, 2, -12, 4),
@@ -101,11 +95,7 @@ class TestEdgeMaximum:
         }
         for family in (F1, F2, F3):
             for edge in ("bottom", "left", "top"):
-                coeffs = _edge_polynomial(family, edge)
-                target = expected[(family.tag, edge)]
-                assert len(coeffs) == len(target)
-                for got, want in zip(coeffs, target):
-                    assert abs(got - want) <= 1e-9
+                assert _edge_polynomial(family, edge) == expected[(family.tag, edge)]
 
 
 class TestGlobalBound:
@@ -174,13 +164,14 @@ class TestBoundReportInvariants:
 
     def test_grid_max_may_not_exceed(self):
         kwargs = self._valid_kwargs()
-        kwargs["grid_max"] = kwargs["global_max"] + 1e-3
-        with pytest.raises(ValueError):
-            BoundReport(**kwargs)
+        for excess in (1e-3, 1e-7):
+            kwargs["grid_max"] = kwargs["global_max"] + excess
+            with pytest.raises(CertificationMismatch):
+                BoundReport(**kwargs)
 
     def test_certification_catches_a_lost_interior_maximum(self, monkeypatch):
-        # if Newton ever failed to locate the interior maximum, the best edge
-        # value would fall 0.4 below the dense sweep and certification fires
+        # without the interior maximum the best edge value falls 0.4 below
+        # the dense sweep, and certification fires
         monkeypatch.setattr(
             optimize_module, "interior_critical_points", lambda *a, **k: []
         )
