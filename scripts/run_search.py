@@ -10,7 +10,7 @@ Usage: python scripts/run_search.py [--iterations 100000] [--seed 1]
 
 import argparse
 
-from gamma3lab import FAMILIES, gap_report, search_lower_bound
+from gamma3lab import FAMILIES, search_lower_bound
 
 
 def main() -> None:
@@ -30,11 +30,10 @@ def main() -> None:
                 real_only=real_only,
                 max_degree=args.max_degree,
             )
-            gap = gap_report(family, result)
             label = "real-only" if real_only else "complex  "
             line = (
                 f"{family.tag} {label}  best {result.best_value:.10f}"
-                f"  upper {result.upper_bound:.10f}  gap {gap.gap:.6f}"
+                f"  upper {result.upper_bound:.10f}  gap {result.gap:.6f}"
             )
             if result.remark_value is not None:
                 line += f"  sharp-real-a2 {result.remark_value:.10f}"

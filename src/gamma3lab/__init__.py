@@ -10,7 +10,7 @@ the constrained maximization with dense-grid certification, and a
 randomized extremal search that brackets the proved bounds from below.
 """
 
-from .config import DEFAULT_ORDER, TOL, Tolerances
+from .config import DEFAULT_ORDER, TOL, Tolerances, VerificationFailed
 from .series import (
     NotNormalized,
     TruncatedSeries,
@@ -56,14 +56,10 @@ from .families import (
     milin_functional,
 )
 from .objective import (
-    OutsideRegion,
     RegionPoint,
-    bound_from_value,
     gradient_xy,
     hessian_xy,
     is_negative_definite,
-    objective_gradient,
-    objective_value,
     value_xy,
 )
 from .optimize import (
@@ -74,14 +70,12 @@ from .optimize import (
     edge_maximum,
     global_bound,
     interior_critical_points,
+    lattice,
 )
 from .search import (
     REMARK_VALUES,
-    FamilyMismatch,
-    GapReport,
     SearchResult,
     WitnessMismatch,
-    gap_report,
     search_lower_bound,
 )
 

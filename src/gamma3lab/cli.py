@@ -12,14 +12,13 @@ from ``bound`` only).  Numbers print with 12 significant digits so
 comparison against published decimals is direct.  All randomness flows
 from ``--seed``; identical configuration gives byte-identical output.
 
-Exit status: 0 on success, 1 on usage errors, 2 when a verification or
-invariant fails.
+Exit status: 0 on success, 1 on usage errors, 2 when a verification
+fails.  Any other error is a bug and propagates with its traceback.
 """
 
 from __future__ import annotations
 
 import argparse
-import cmath
 import json
 import math
 import sys
@@ -29,7 +28,7 @@ from . import families as fam
 from . import optimize, search, schwarz
 from .objective import value_xy
 from .series import TruncatedSeries
-from .config import DEFAULT_ORDER
+from .config import DEFAULT_ORDER, TOL, VerificationFailed
 
 
 class _UsageError(Exception):
@@ -100,15 +99,10 @@ def _cmd_bound(cfg: RunConfig) -> int:
         _emit_json(_bound_json(report))
     elif cfg.fmt == "csv":
         print("x,y,value")
-        step = cfg.grid_step
-        nx = int(round(1.0 / step))
-        for i in range(nx + 1):
-            x = min(i * step, 1.0)
-            ymax = 1.0 - x * x
-            ys = [j * step for j in range(int(ymax / step) + 1) if j * step < ymax - 1e-12]
-            ys.append(ymax)
-            for y in ys:
-                print(f"{_fmt(x)},{_fmt(y)},{_fmt(value_xy(cfg.family, x, y))}")
+        xs, ys = optimize.lattice(cfg.grid_step)
+        # one value at a time: numpy's x ** 3 can differ from Python's in the last bit
+        for x, y in zip(xs.tolist(), ys.tolist()):
+            print(f"{_fmt(x)},{_fmt(y)},{_fmt(value_xy(cfg.family, x, y))}")
     else:
         print(f"family {report.family.tag}")
         for p, v in report.interior_points:
@@ -130,7 +124,7 @@ def _cmd_gamma(cfg: RunConfig) -> int:
     f = fam.member_series(cfg.family, w, DEFAULT_ORDER)
     oracle = fam.gamma_sequence(f, 3)[2]
     delta = abs(closed - oracle)
-    ok = delta <= 1e-9
+    ok = delta <= TOL.bound_compliance
     if cfg.fmt == "json":
         _emit_json(
             {
@@ -158,7 +152,7 @@ def _cmd_verify_carlson(cfg: RunConfig) -> int:
     for batch in schwarz.sample_blocks(cfg.seed, cfg.samples, 6, cfg.real_only):
         slacks = schwarz.carlson_check(schwarz.triple_of_blaschke(batch))
         worst = [min(w, float(s.min(initial=math.inf))) for w, s in zip(worst, slacks)]
-    ok = all(s >= -1e-9 for s in worst)
+    ok = all(s >= -TOL.carlson_slack for s in worst)
     if cfg.fmt == "json":
         _emit_json(
             {
@@ -179,7 +173,6 @@ def _cmd_search(cfg: RunConfig) -> int:
     result = search.search_lower_bound(
         cfg.family, cfg.iterations, cfg.seed, cfg.real_only, cfg.max_degree
     )
-    gap = search.gap_report(cfg.family, result)
     if cfg.fmt == "json":
         _emit_json(
             {
@@ -196,8 +189,8 @@ def _cmd_search(cfg: RunConfig) -> int:
                 "remark_value": (
                     None if result.remark_value is None else _round12(result.remark_value)
                 ),
-                "gap": _round12(gap.gap),
-                "relative_gap": _round12(gap.relative_gap),
+                "gap": _round12(result.gap),
+                "relative_gap": _round12(result.relative_gap),
             }
         )
     else:
@@ -206,7 +199,7 @@ def _cmd_search(cfg: RunConfig) -> int:
         print(f"  upper bound    {_fmt(result.upper_bound)}")
         if result.remark_value is not None:
             print(f"  sharp real-a2  {_fmt(result.remark_value)}")
-        print(f"  gap            {_fmt(gap.gap)}  (relative {_fmt(gap.relative_gap)})")
+        print(f"  gap            {_fmt(result.gap)}  (relative {_fmt(result.relative_gap)})")
         zeros = ", ".join(f"{_fmt(z.real)}{z.imag:+.6g}i" for z in result.witness.zeros)
         print(f"  witness degree {result.witness.degree}  zeros [{zeros}]")
     return 0
@@ -264,10 +257,13 @@ def build_parser() -> _Parser:
 def _validate(cfg: RunConfig) -> None:
     if cfg.fmt == "csv" and cfg.command != "bound":
         raise _UsageError("csv output is only available for 'bound'")
-    if not 0.0 < cfg.grid_step <= 0.1:
-        raise _UsageError("--grid-step must lie in (0, 0.1]")
-    if not all(cmath.isfinite(c) for c in (cfg.c1, cfg.c2, cfg.c3)):
-        raise _UsageError("--c1, --c2 and --c3 must be finite")
+    if not optimize.GRID_STEP <= cfg.grid_step <= 0.1:
+        raise _UsageError(f"--grid-step must lie in [{optimize.GRID_STEP:g}, 0.1]")
+    coeffs = (cfg.c1, cfg.c2, cfg.c3)
+    # a component beyond 1 is infeasible, and near 1e308 it would overflow abs()
+    bounded = all(abs(c.real) <= 1.0 and abs(c.imag) <= 1.0 for c in coeffs)
+    if not (bounded and schwarz.is_feasible(schwarz.SchwarzTriple(*coeffs))):
+        raise _UsageError("--c1, --c2 and --c3 must be a finite Schwarz triple (Carlson's bounds)")
     if cfg.iterations < 1:
         raise _UsageError("--iterations must be >= 1")
     if cfg.max_degree < 1:
@@ -301,8 +297,8 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         parser.print_usage(sys.stderr)
         return 1
-    except (optimize.CertificationMismatch, ValueError) as exc:
-        sys.stderr.write(f"invariant violation: {exc}\n")
+    except VerificationFailed as exc:
+        sys.stderr.write(f"verification failed: {exc}\n")
         return 2
 
 

@@ -19,18 +19,23 @@ class Tolerances:
     # series arithmetic
     zero_constant: float = 1e-12       # |a0| below this cannot be inverted
     normalized: float = 1e-12          # slack on f(0)=0, f'(0)=1
-    log_roundtrip: float = 1e-10       # exp(log(f/z)) vs f/z, per coefficient
     # Schwarz data
     rotation_unimodular: float = 1e-14
     carlson_slack: float = 1e-12       # feasibility threshold on Lemma slacks
-    # objective region
-    region_slack: float = 1e-12        # membership slack for the region E
     # optimizer
     tie_break: float = 1e-12           # values within this count as equal
     certification: float = 1e-9        # dense grid may not exceed max by this
-    # search
-    bound_compliance: float = 1e-9     # |gamma3| may not exceed a bound by this
+    # search and the gamma command
+    bound_compliance: float = 1e-9     # |gamma3| over a bound; closed form vs series route
     remark_compliance: float = 1e-6    # slack against the sharp real-a2 values
 
 
 TOL = Tolerances()
+
+
+class VerificationFailed(Exception):
+    """A computed quantity failed its check against an independent route.
+
+    This is the one failure class that the command line reports with exit
+    status 2; any other exception is a programming error.
+    """

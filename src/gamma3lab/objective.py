@@ -9,23 +9,15 @@ Applying the triangle inequality to the gamma_3 closed form and replacing
 on the region E = {0 <= x <= 1, 0 <= y <= 1 - x^2}.  The weights are the
 family's gamma_3 weights, so domination of scale*|gamma_3| by the
 objective is structural.  The denominator 1 + x is >= 1 on E, so no
-singularity handling is needed anywhere.
-
-``objective_value``/``objective_gradient`` validate region membership
-(with a 1e-12 slack so points generated on the parabolic edge pass);
-``value_xy``/``gradient_xy``/``hessian_xy`` are the unchecked evaluations.
+singularity handling is needed anywhere.  The evaluations do not check
+that (x, y) lies in E.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config import TOL
 from .families import Family
-
-
-class OutsideRegion(ValueError):
-    """Point does not lie in E = {0 <= x <= 1, 0 <= y <= 1 - x^2}."""
 
 
 @dataclass(frozen=True)
@@ -35,15 +27,9 @@ class RegionPoint:
     x: float
     y: float
 
-    def is_in_region(self, slack: float = TOL.region_slack) -> bool:
-        return (
-            -slack <= self.x <= 1.0 + slack
-            and -slack <= self.y <= 1.0 - self.x * self.x + slack
-        )
-
 
 def value_xy(family: Family, x: float, y: float) -> float:
-    """Objective at (x, y); no region check."""
+    """Objective at (x, y)."""
     w0, w1, w2, w3, w12, w111 = family.gamma3_weights
     return (
         abs(w0)
@@ -56,7 +42,7 @@ def value_xy(family: Family, x: float, y: float) -> float:
 
 
 def gradient_xy(family: Family, x: float, y: float) -> tuple[float, float]:
-    """Analytic partial derivatives of the objective; no region check."""
+    """Analytic partial derivatives of the objective."""
     w0, w1, w2, w3, w12, w111 = family.gamma3_weights
     t = y / (1.0 + x)
     dx = abs(w1) - 2.0 * w3 * x + w3 * t * t + abs(w12) * y + 3.0 * abs(w111) * x * x
@@ -67,7 +53,7 @@ def gradient_xy(family: Family, x: float, y: float) -> tuple[float, float]:
 def hessian_xy(
     family: Family, x: float, y: float
 ) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Exact second partials of the objective; no region check."""
+    """Exact second partials of the objective."""
     _, _, _, w3, w12, w111 = family.gamma3_weights
     hxx = -2.0 * w3 - 2.0 * w3 * y * y / (1.0 + x) ** 3 + 6.0 * abs(w111) * x
     hxy = abs(w12) + 2.0 * w3 * y / (1.0 + x) ** 2
@@ -77,25 +63,3 @@ def hessian_xy(
 
 def is_negative_definite(h: tuple[tuple[float, float], tuple[float, float]]) -> bool:
     return h[0][0] < 0.0 and h[0][0] * h[1][1] - h[0][1] * h[1][0] > 0.0
-
-
-def _require_in_region(p: RegionPoint) -> None:
-    if not p.is_in_region():
-        raise OutsideRegion(f"({p.x!r}, {p.y!r}) is outside the region E")
-
-
-def objective_value(family: Family, p: RegionPoint) -> float:
-    _require_in_region(p)
-    return value_xy(family, p.x, p.y)
-
-
-def objective_gradient(family: Family, p: RegionPoint) -> tuple[float, float]:
-    _require_in_region(p)
-    return gradient_xy(family, p.x, p.y)
-
-
-def bound_from_value(family: Family, v: float) -> float:
-    """Convert an objective value into the |gamma_3| bound it certifies."""
-    if v < 0:
-        raise ValueError("objective values are nonnegative on E")
-    return v / family.scale

@@ -10,24 +10,28 @@ weights, so its critical points are roots of a quadratic too.  The global
 maximum is the largest candidate value and divides by the family scale to
 give the |gamma_3| bound.
 
-A dense lattice sweep over E is the independent route: if it ever exceeds
-the analytic maximum beyond ``TOL.certification``, some formula was
-transcribed wrong and :class:`CertificationMismatch` is raised.
+A dense lattice sweep over E (:func:`lattice` at ``GRID_STEP``) is the
+independent route: if it ever exceeds the analytic maximum beyond
+``TOL.certification``, some formula was transcribed wrong and
+:class:`CertificationMismatch` is raised.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TOL
+from .config import TOL, VerificationFailed
 from .families import Family
 from .objective import RegionPoint, value_xy
 
 
 EDGES = ("bottom", "left", "top")  # y = 0, x = 0, y = 1 - x^2
+
+#: Lattice step of the dense-grid sweep, and the finest step of a csv dump.
+GRID_STEP = 1e-3
 
 #: A published transcription of the third family's top-edge restriction;
 #: substitution gives -16x^3 where it has -20x^3.
@@ -38,33 +42,43 @@ class UnknownEdge(ValueError):
     """Edge id must be one of 'bottom', 'left', 'top'."""
 
 
-class CertificationMismatch(RuntimeError):
+class CertificationMismatch(VerificationFailed):
     """Dense-grid sweep exceeded the analytic maximum; formula bug likely."""
 
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Everything the maximization produced for one family."""
+    """Everything the maximization produced for one family.
+
+    The maximum, the bound and the notes are derived from the candidates.
+    """
 
     family: Family
     interior_points: tuple[tuple[RegionPoint, float], ...]
     edge_maxima: tuple[tuple[str, float, float], ...]  # (edge, argmax, value)
-    global_max: float
-    gamma3_bound: float
     grid_max: float
-    notes: tuple[str, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        values = [v for _, v in self.interior_points] + [v for _, _, v in self.edge_maxima]
-        if abs(self.global_max - max(values)) > TOL.tie_break:
-            raise ValueError("global_max must equal the largest candidate value")
-        if abs(self.gamma3_bound - self.global_max / self.family.scale) > TOL.tie_break:
-            raise ValueError("gamma3_bound must equal global_max / scale")
         if self.grid_max > self.global_max + TOL.certification:
             raise CertificationMismatch(
                 f"dense grid reached {self.grid_max!r} > analytic maximum "
                 f"{self.global_max!r}; a formula was likely transcribed wrong"
             )
+
+    @property
+    def global_max(self) -> float:
+        return max([v for _, v in self.interior_points] + [v for _, _, v in self.edge_maxima])
+
+    @property
+    def gamma3_bound(self) -> float:
+        return self.global_max / self.family.scale
+
+    @property
+    def notes(self) -> tuple[str, ...]:
+        if self.family.tag != "F3":
+            return ()
+        _, top_t, top_v = self.edge_maxima[EDGES.index("top")]
+        return (_f3_top_edge_note(self.family, top_t, top_v, self.global_max),)
 
 
 def _quadratic_roots(c0: float, c1: float, c2: float) -> list[float]:
@@ -154,45 +168,44 @@ def _f3_top_edge_note(family: Family, t: float, v: float, global_max: float) -> 
     )
 
 
-def _dense_grid_max(family: Family, step: float = 1e-3) -> float:
-    """Vectorized sweep of E (interior lattice plus the exact top edge)."""
+def lattice(step: float) -> tuple[np.ndarray, np.ndarray]:
+    """Points (x, y) of E on a lattice of the given step, column by column.
+
+    Column i sits at x = min(i * step, 1) for i <= round(1 / step) and holds
+    the lattice points y = j * step < 1 - x^2 - 1e-12, then the top point
+    y = 1 - x^2.
+    """
+    n = round(1.0 / step)
+    ticks = np.arange(n + 1) * step
+    x = np.minimum(ticks, 1.0)
+    top = 1.0 - x * x
+    ys = np.empty((n + 1, n + 2))
+    ys[:, :-1] = ticks
+    ys[:, -1] = top
+    keep = np.ones(ys.shape, dtype=bool)
+    keep[:, :-1] = ticks < (top - 1e-12)[:, None]
+    return np.broadcast_to(x[:, None], ys.shape)[keep], ys[keep]
+
+
+def _dense_grid_max(family: Family) -> float:
+    """Vectorized sweep of E over the lattice of step ``GRID_STEP``."""
     w0, w1, w2, w3, w12, w111 = family.gamma3_weights
-    xs = np.arange(0.0, 1.0 + step / 2, step)
-    ys = np.arange(0.0, 1.0 + step / 2, step)
-    xg, yg = np.meshgrid(xs, ys, indexing="ij")
-    mask = yg <= 1.0 - xg * xg
-    xm, ym = xg[mask], yg[mask]
-
-    def evaluate(xa: np.ndarray, ya: np.ndarray) -> np.ndarray:
-        return (
-            abs(w0)
-            + abs(w1) * xa
-            + abs(w2) * ya
-            + w3 * (1.0 - xa * xa - ya * ya / (1.0 + xa))
-            + abs(w12) * xa * ya
-            + abs(w111) * xa ** 3
-        )
-
-    interior = float(np.max(evaluate(xm, ym)))
-    top = float(np.max(evaluate(xs, 1.0 - xs * xs)))
-    return max(interior, top)
+    x, y = lattice(GRID_STEP)
+    return float(np.max(
+        abs(w0)
+        + abs(w1) * x
+        + abs(w2) * y
+        + w3 * (1.0 - x * x - y * y / (1.0 + x))
+        + abs(w12) * x * y
+        + abs(w111) * x ** 3
+    ))
 
 
 def global_bound(family: Family) -> BoundReport:
     """Assemble interior and edge maxima into the certified bound report."""
-    interior = interior_critical_points(family)
-    edges = tuple((e,) + edge_maximum(family, e) for e in EDGES)
-    global_max = max([v for _, v in interior] + [v for _, _, v in edges])
-    notes = ()
-    if family.tag == "F3":
-        _, top_t, top_v = edges[2]
-        notes = (_f3_top_edge_note(family, top_t, top_v, global_max),)
     return BoundReport(
         family=family,
-        interior_points=tuple(interior),
-        edge_maxima=edges,
-        global_max=global_max,
-        gamma3_bound=global_max / family.scale,
+        interior_points=tuple(interior_critical_points(family)),
+        edge_maxima=tuple((e,) + edge_maximum(family, e) for e in EDGES),
         grid_max=_dense_grid_max(family),
-        notes=notes,
     )

@@ -218,12 +218,13 @@ def sample_blocks(
     """n products with degrees cycling 1..max_degree, one batch per degree.
 
     Sample i has degree 1 + i % max_degree and is row i // max_degree of
-    that degree's batch.  Each batch draws from its own stream, seeded by
-    mixing ``seed`` with the degree, so distinct seeds draw distinct streams.
+    that degree's batch, so only degrees up to n draw samples and have a
+    batch.  Each batch draws from its own stream, seeded by mixing ``seed``
+    with the degree, so distinct seeds draw distinct streams.
     """
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
-    for degree in range(1, max_degree + 1):
+    for degree in range(1, min(max_degree, n) + 1):
         count = len(range(degree - 1, n, max_degree))
         yield sample_batch(_derive_seed(seed, degree), degree, count, real_only)
 

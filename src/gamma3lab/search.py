@@ -19,8 +19,8 @@ refinement, and refinement evaluates one product at a time through the
 same coefficient recurrence.  The proved bound each result is checked
 against is certified once per family per process.
 
-Whether the general (complex a2) upper bounds are attained is open; the
-gap report quantifies the remaining interval without drawing conclusions.
+Whether the general (complex a2) upper bounds are attained is open; a
+result's gap quantifies the remaining interval without drawing conclusions.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .config import TOL
+from .config import TOL, VerificationFailed
 from .families import Family, gamma3_closed_form
 from .optimize import global_bound
 from .schwarz import (
@@ -42,11 +42,7 @@ from .schwarz import (
 )
 
 
-class FamilyMismatch(ValueError):
-    """Search result belongs to a different family than requested."""
-
-
-class WitnessMismatch(ValueError):
+class WitnessMismatch(VerificationFailed):
     """A sampled value disagrees with its product's series-route value."""
 
 
@@ -66,42 +62,45 @@ _INITIAL_STEP = 0.1
 
 @dataclass(frozen=True)
 class SearchResult:
+    """The best witness found, against the proved bound it brackets.
+
+    The upper bound is not claimed to be attained for complex a2; the gap
+    measures the unresolved interval, nothing more.
+    """
+
     family: Family
     best_value: float
     witness: BlaschkeProduct
     iterations: int
     real_only: bool
     upper_bound: float
-    remark_value: float | None = None
 
     def __post_init__(self) -> None:
         if self.best_value > self.upper_bound + TOL.bound_compliance:
-            raise ValueError(
+            raise VerificationFailed(
                 f"search value {self.best_value!r} exceeds the proved bound "
                 f"{self.upper_bound!r}; a witness is not a Schwarz function"
             )
         if self.remark_value is not None and (
             self.best_value > self.remark_value + TOL.remark_compliance
         ):
-            raise ValueError(
+            raise VerificationFailed(
                 f"real-coefficient search value {self.best_value!r} exceeds the "
                 f"sharp real-a2 value {self.remark_value!r}"
             )
 
+    @property
+    def remark_value(self) -> float | None:
+        """The sharp real-a2 value, which bounds real-coefficient searches."""
+        return REMARK_VALUES[self.family.tag] if self.real_only else None
 
-@dataclass(frozen=True)
-class GapReport:
-    """Distance between the proved upper bound and the best witness found.
+    @property
+    def gap(self) -> float:
+        return self.upper_bound - self.best_value
 
-    The upper bounds are not claimed to be attained for complex a2; the
-    gap measures the unresolved interval, nothing more.
-    """
-
-    family: Family
-    best_value: float
-    upper_bound: float
-    gap: float
-    relative_gap: float
+    @property
+    def relative_gap(self) -> float:
+        return self.gap / self.upper_bound
 
 
 @functools.cache
@@ -216,21 +215,4 @@ def search_lower_bound(
         iterations=iterations,
         real_only=real_only,
         upper_bound=upper_bound,
-        remark_value=REMARK_VALUES[family.tag] if real_only else None,
-    )
-
-
-def gap_report(family: Family, result: SearchResult) -> GapReport:
-    """How far the best witness sits below the proved upper bound."""
-    if result.family.tag != family.tag:
-        raise FamilyMismatch(
-            f"result belongs to {result.family.tag}, not {family.tag}"
-        )
-    gap = result.upper_bound - result.best_value
-    return GapReport(
-        family=family,
-        best_value=result.best_value,
-        upper_bound=result.upper_bound,
-        gap=gap,
-        relative_gap=gap / result.upper_bound,
     )

@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gamma3lab import optimize
 from gamma3lab.cli import main
 
 
@@ -168,3 +173,94 @@ class TestUsageErrors:
         assert code == 1
         assert out == ""
         assert "finite" in err
+
+    @pytest.mark.parametrize(
+        "c1, c2", [("1e6", "0"), ("0.9", "0.5"), ("1e308+1e308j", "0"), ("0", "-1.01j")]
+    )
+    def test_coefficients_outside_the_body_exit_one(self, capsys, c1, c2):
+        # not a Schwarz triple, so there is nothing to verify
+        code, out, err = run_cli(capsys, "gamma", "f1", f"--c1={c1}", f"--c2={c2}")
+        assert code == 1
+        assert out == ""
+        assert "Schwarz triple" in err
+
+    @pytest.mark.parametrize("step", ["1e-9", "0.0009", "0", "0.2", "nan"])
+    def test_grid_step_out_of_range_exits_one(self, capsys, step):
+        code, out, err = run_cli(capsys, "bound", "f1", "--format", "csv", "--grid-step", step)
+        assert code == 1
+        assert out == ""
+        assert "--grid-step" in err
+
+
+class TestExitStatus:
+    def test_a_programming_error_propagates(self, monkeypatch):
+        def broken(family):
+            raise ValueError("a bug, not a failed verification")
+
+        monkeypatch.setattr(optimize, "global_bound", broken)
+        with pytest.raises(ValueError, match="a bug"):
+            main(["bound", "f1"])
+
+    def test_a_failed_certification_exits_two(self, capsys, monkeypatch):
+        monkeypatch.setattr(optimize, "interior_critical_points", lambda family: [])
+        code, out, err = run_cli(capsys, "bound", "f1")
+        assert code == 2
+        assert out == ""
+        assert "verification failed" in err
+
+
+def _command(head, options):
+    """argv of one command: its head, then any subset of its options in any
+    order.  ``options`` maps each flag to a strategy of values, or to None
+    for a switch."""
+
+    def tokens(flag):
+        values = options[flag]
+        return st.just([flag]) if values is None else values.map(lambda v: [f"{flag}={v}"])
+
+    chosen = st.lists(st.sampled_from(sorted(options)), unique=True).flatmap(
+        lambda flags: st.tuples(*map(tokens, flags))
+    )
+    return st.builds(lambda h, c: h + sum(c, []), head, chosen)
+
+
+def _with_family(command):
+    return st.sampled_from(["f1", "f2", "f3", "f4"]).map(lambda f: [command, f])
+
+
+_FORMAT = st.sampled_from(["text", "json", "csv"])
+_COEFFICIENT = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "1+nanj", "1e6", "1e308+1e308j", "1.0000001", "-1j"]),
+    st.complex_numbers(max_magnitude=1.2).map(str),
+)
+_GRID_STEP = st.one_of(
+    st.sampled_from(["1e-300", "1e-9", "0", "-0.1", "nan", "inf", "0.2"]),
+    st.floats(0.01, 0.1).map(repr),
+)
+# valid sizes are capped: memory grows linearly with samples and iterations
+_SIZE = st.one_of(st.integers(-3, 0), st.integers(1, 2000))
+_SEED = st.integers(-(10**9), 10**9)
+
+_ARGV = st.one_of(
+    _command(_with_family("bound"), {"--format": _FORMAT, "--grid-step": _GRID_STEP}),
+    _command(_with_family("gamma"),
+             {"--format": _FORMAT, "--c1": _COEFFICIENT, "--c2": _COEFFICIENT, "--c3": _COEFFICIENT}),
+    _command(st.just(["verify-carlson"]),
+             {"--format": _FORMAT, "--samples": _SIZE, "--seed": _SEED, "--real-only": None}),
+    _command(_with_family("search"),
+             {"--format": _FORMAT, "--iterations": _SIZE, "--seed": _SEED,
+              "--max-degree": st.integers(-3, 8), "--real-only": None}),
+    _command(st.just(["milin"]),
+             {"--format": _FORMAT, "--n": st.integers(-3, 10),
+              "--function": st.sampled_from(["koebe", "identity", "z"])}),
+)
+
+
+class TestFuzz:
+    @given(_ARGV)
+    @settings(max_examples=150, deadline=None)
+    def test_any_command_line_exits_zero_or_one(self, argv):
+        # exit 2 would report a failed verification, and none can fail here
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 1), argv

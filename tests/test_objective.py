@@ -1,6 +1,5 @@
 import math
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -8,19 +7,17 @@ from gamma3lab import (
     F1,
     F2,
     F3,
-    OutsideRegion,
     RegionPoint,
     SchwarzTriple,
-    bound_from_value,
     carlson_check,
     gamma3_closed_form,
+    global_bound,
     gradient_xy,
-    objective_gradient,
-    objective_value,
     sample_schwarz,
     triple_of_blaschke,
     value_xy,
 )
+from gamma3lab.optimize import _edge_polynomial
 
 ALL_FAMILIES = (F1, F2, F3)
 
@@ -37,49 +34,41 @@ def region_points():
 
 class TestObjectiveValue:
     def test_first_family_interior_value(self):
-        assert abs(objective_value(F1, RegionPoint(0.25, 0.3125)) - 15.75) <= 1e-12
+        assert abs(value_xy(F1, 0.25, 0.3125) - 15.75) <= 1e-12
 
     def test_second_family_interior_value(self):
-        assert abs(objective_value(F2, RegionPoint(X2, Y2)) - 3.10518) <= 1e-5
+        assert abs(value_xy(F2, X2, Y2) - 3.10518) <= 1e-5
 
     def test_third_family_interior_value(self):
-        assert abs(objective_value(F3, RegionPoint(0.25, 0.3125)) - 17.75) <= 1e-12
+        assert abs(value_xy(F3, 0.25, 0.3125) - 17.75) <= 1e-12
 
     def test_first_family_origin(self):
-        assert objective_value(F1, RegionPoint(0.0, 0.0)) == 15.0
-
-    def test_outside_region_rejected(self):
-        for bad in (RegionPoint(-0.1, 0.0), RegionPoint(1.1, 0.0),
-                    RegionPoint(0.5, 0.8), RegionPoint(0.0, 1.1)):
-            with pytest.raises(OutsideRegion):
-                objective_value(F1, bad)
+        assert value_xy(F1, 0.0, 0.0) == 15.0
 
     def test_parabolic_boundary_passes_with_slack(self):
+        # on y = 1 - x^2 the objective is the top-edge cubic
         x = 0.3
-        p = RegionPoint(x, 1.0 - x * x)
-        objective_value(F1, p)  # must not raise
+        for family in ALL_FAMILIES:
+            cubic = sum(c * x**k for k, c in enumerate(_edge_polynomial(family, "top")))
+            assert abs(value_xy(family, x, 1.0 - x * x) - cubic) <= 1e-12
 
     @given(region_points())
     @settings(max_examples=300)
     def test_third_is_first_plus_two(self, p):
-        assert abs(objective_value(F3, p) - objective_value(F1, p) - 2.0) <= 1e-12
+        assert abs(value_xy(F3, p.x, p.y) - value_xy(F1, p.x, p.y) - 2.0) <= 1e-12
 
 
 class TestObjectiveGradient:
     def test_vanishes_at_first_family_critical_point(self):
-        gx, gy = objective_gradient(F1, RegionPoint(0.25, 0.3125))
+        gx, gy = gradient_xy(F1, 0.25, 0.3125)
         assert abs(gx) <= 1e-12 and abs(gy) <= 1e-12
 
     def test_vanishes_at_second_family_critical_point(self):
-        gx, gy = objective_gradient(F2, RegionPoint(X2, Y2))
+        gx, gy = gradient_xy(F2, X2, Y2)
         assert abs(gx) <= 1e-12 and abs(gy) <= 1e-12
 
     def test_origin_value(self):
-        assert objective_gradient(F1, RegionPoint(0.0, 0.0)) == (2.0, 4.0)
-
-    def test_outside_region_rejected(self):
-        with pytest.raises(OutsideRegion):
-            objective_gradient(F1, RegionPoint(0.5, 0.9))
+        assert gradient_xy(F1, 0.0, 0.0) == (2.0, 4.0)
 
     @given(region_points())
     @settings(max_examples=200)
@@ -99,9 +88,8 @@ class TestDomination:
         for family in ALL_FAMILIES:
             for seed in range(300):
                 c = triple_of_blaschke(sample_schwarz(seed, 1 + seed % 5))
-                p = RegionPoint(abs(c.c1), abs(c.c2))
                 lhs = family.scale * abs(gamma3_closed_form(family, c))
-                assert lhs <= objective_value(family, p) + 1e-9
+                assert lhs <= value_xy(family, abs(c.c1), abs(c.c2)) + 1e-9
 
     @given(
         st.floats(0, 1, allow_nan=False),
@@ -124,16 +112,15 @@ class TestDomination:
         assert all(s >= -1e-12 for s in carlson_check(c))
         for family in ALL_FAMILIES:
             lhs = family.scale * abs(gamma3_closed_form(family, c))
-            rhs = objective_value(family, RegionPoint(abs(c.c1), abs(c.c2)))
+            rhs = value_xy(family, abs(c.c1), abs(c.c2))
             assert lhs <= rhs + 1e-9
 
 
 class TestBoundFromValue:
     def test_scales(self):
-        assert bound_from_value(F1, 15.75) == 0.328125
-        assert abs(bound_from_value(F2, 3.105188384906817) - 0.258765) <= 1e-6
-        assert abs(bound_from_value(F3, 17.75) - 17.75 / 48) <= 1e-15
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            bound_from_value(F1, -1.0)
+        # the bound is the objective's value at the interior maximum over the scale
+        bounds = {f.tag: global_bound(f).gamma3_bound for f in ALL_FAMILIES}
+        assert bounds["F1"] == value_xy(F1, 0.25, 0.3125) / 48 == 0.328125
+        assert abs(bounds["F2"] - 0.258765) <= 1e-6
+        assert abs(bounds["F2"] - value_xy(F2, X2, Y2) / F2.scale) <= 1e-15
+        assert abs(bounds["F3"] - 17.75 / 48) <= 1e-15

@@ -14,6 +14,7 @@ from gamma3lab import (
     hessian_xy,
     interior_critical_points,
     is_negative_definite,
+    lattice,
 )
 from gamma3lab import optimize as optimize_module
 from gamma3lab.optimize import CertificationMismatch, _dense_grid_max, _edge_polynomial
@@ -143,29 +144,31 @@ class TestBoundReportInvariants:
             family=r.family,
             interior_points=r.interior_points,
             edge_maxima=r.edge_maxima,
-            global_max=r.global_max,
-            gamma3_bound=r.gamma3_bound,
             grid_max=r.grid_max,
-            notes=r.notes,
         )
 
     def test_global_max_must_match_candidates(self):
+        # the maximum is derived from the candidates, so it follows them
         kwargs = self._valid_kwargs()
-        kwargs["global_max"] = kwargs["global_max"] + 0.5
-        kwargs["gamma3_bound"] = kwargs["global_max"] / 48
-        with pytest.raises(ValueError):
-            BoundReport(**kwargs)
+        (p, v), = kwargs["interior_points"]
+        kwargs["interior_points"] = ((p, v + 0.5),)
+        r = BoundReport(**kwargs)
+        assert r.global_max == v + 0.5
+        kwargs["interior_points"] = ()
+        kwargs["grid_max"] = 0.0
+        r = BoundReport(**kwargs)
+        assert r.global_max == max(v for _, _, v in r.edge_maxima)
 
     def test_bound_must_match_scale(self):
-        kwargs = self._valid_kwargs()
-        kwargs["gamma3_bound"] = kwargs["gamma3_bound"] * 2
-        with pytest.raises(ValueError):
-            BoundReport(**kwargs)
+        for family in (F1, F2, F3):
+            r = global_bound(family)
+            assert r.gamma3_bound == r.global_max / family.scale
 
     def test_grid_max_may_not_exceed(self):
         kwargs = self._valid_kwargs()
+        global_max = BoundReport(**kwargs).global_max
         for excess in (1e-3, 1e-7):
-            kwargs["grid_max"] = kwargs["global_max"] + excess
+            kwargs["grid_max"] = global_max + excess
             with pytest.raises(CertificationMismatch):
                 BoundReport(**kwargs)
 
@@ -177,3 +180,21 @@ class TestBoundReportInvariants:
         )
         with pytest.raises(CertificationMismatch):
             optimize_module.global_bound(F1)
+
+
+def _column_loop(step):
+    """The lattice of E, one column and one point at a time."""
+    points = []
+    for i in range(round(1.0 / step) + 1):
+        x = min(i * step, 1.0)
+        ymax = 1.0 - x * x
+        ys = [j * step for j in range(int(ymax / step) + 1) if j * step < ymax - 1e-12]
+        points += [(x, y) for y in ys + [ymax]]
+    return points
+
+
+class TestLattice:
+    @pytest.mark.parametrize("step", [0.1, 0.05, 0.03, 0.01, 0.007, 0.0013, 0.001])
+    def test_matches_the_column_loop(self, step):
+        xs, ys = lattice(step)
+        assert list(zip(xs.tolist(), ys.tolist())) == _column_loop(step)

@@ -214,6 +214,10 @@ class TestSampleBlocks:
         assert [len(b) for b in blocks] == [6, 6, 6, 5]
         assert sum(len(b) for b in sample_blocks(5, 2, 4)) == 2
 
+    def test_only_degrees_that_draw_a_sample_have_a_batch(self):
+        assert len(list(sample_blocks(1, 3, 400))) == 3
+        assert [len(b) for b in sample_blocks(1, 3, 400)] == [1, 1, 1]
+
     def test_distinct_seed_and_degree_streams_differ(self):
         blocks = list(sample_blocks(1, 600, 6)) + list(sample_blocks(2, 600, 6))
         rotations = [complex(r) for b in blocks for r in b.rotation]

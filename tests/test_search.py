@@ -6,11 +6,11 @@ import pytest
 from gamma3lab import (
     F1,
     F2,
-    FamilyMismatch,
     SchwarzTriple,
+    SearchResult,
+    VerificationFailed,
     WitnessMismatch,
     gamma3_closed_form,
-    gap_report,
     sample_blocks,
     search,
     search_lower_bound,
@@ -77,6 +77,14 @@ class TestSearchLowerBound:
         with pytest.raises(WitnessMismatch):
             search_lower_bound(F1, iterations=100, seed=1)
 
+    def test_values_above_a_bound_fail_verification(self):
+        r = search_lower_bound(F1, iterations=50, seed=1, real_only=True)
+        fields = dict(family=F1, witness=r.witness, iterations=50, upper_bound=r.upper_bound)
+        with pytest.raises(VerificationFailed):
+            SearchResult(best_value=r.upper_bound + 1e-6, real_only=False, **fields)
+        with pytest.raises(VerificationFailed):
+            SearchResult(best_value=REMARK_VALUES["F1"] + 1e-5, real_only=True, **fields)
+
     def test_bound_is_certified_once_per_family(self, monkeypatch):
         calls = []
         certify = search.global_bound
@@ -114,12 +122,6 @@ class TestSearchLowerBound:
 class TestGapReport:
     def test_gap_subtraction(self):
         r = search_lower_bound(F1, iterations=300, seed=2, max_degree=4)
-        g = gap_report(F1, r)
-        assert abs(g.gap - (r.upper_bound - r.best_value)) <= 1e-15
-        assert abs(g.relative_gap - g.gap / r.upper_bound) <= 1e-15
-        assert g.gap >= -1e-9
-
-    def test_family_mismatch(self):
-        r = search_lower_bound(F1, iterations=50, seed=1)
-        with pytest.raises(FamilyMismatch):
-            gap_report(F2, r)
+        assert r.gap == r.upper_bound - r.best_value
+        assert r.relative_gap == r.gap / r.upper_bound
+        assert r.gap >= -1e-9
