@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Bracket each bound from below with the Blaschke-product extremal search.
+"""Bracket each bound from below with the Schur-coordinate extremal search.
 
 Runs both the unrestricted and the real-coefficient searches and prints
 the gap to the proved upper bound (and to the sharp real-a2 value where
@@ -17,18 +17,13 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--iterations", type=int, default=100_000)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--max-degree", type=int, default=4)
     args = parser.parse_args()
 
     for tag in ("f1", "f2", "f3"):
         family = FAMILIES[tag]
         for real_only in (False, True):
             result = search_lower_bound(
-                family,
-                iterations=args.iterations,
-                seed=args.seed,
-                real_only=real_only,
-                max_degree=args.max_degree,
+                family, iterations=args.iterations, seed=args.seed, real_only=real_only
             )
             label = "real-only" if real_only else "complex  "
             line = (

@@ -7,7 +7,7 @@ coefficient moduli.  This package reproduces every step numerically:
 truncated series arithmetic and the series logarithm, Schwarz-function
 witnesses as Blaschke products, the coefficient maps and closed forms,
 the constrained maximization with dense-grid certification, and a
-randomized extremal search that brackets the proved bounds from below.
+Schur-coordinate search that brackets the proved bounds from below.
 """
 
 from .config import DEFAULT_ORDER, TOL, Tolerances, VerificationFailed
@@ -33,6 +33,8 @@ from .schwarz import (
     sample_batch,
     sample_blocks,
     sample_schwarz,
+    schur_triple,
+    schur_witness,
     taylor_of_blaschke,
     triple_of_blaschke,
 )

@@ -48,7 +48,6 @@ class RunConfig:
     grid_step: float = 0.05
     iterations: int = 100_000
     seed: int = 1
-    max_degree: int = 4
     real_only: bool = False
     fmt: str = "text"
     c1: complex = 0j
@@ -170,9 +169,7 @@ def _cmd_verify_carlson(cfg: RunConfig) -> int:
 
 
 def _cmd_search(cfg: RunConfig) -> int:
-    result = search.search_lower_bound(
-        cfg.family, cfg.iterations, cfg.seed, cfg.real_only, cfg.max_degree
-    )
+    result = search.search_lower_bound(cfg.family, cfg.iterations, cfg.seed, cfg.real_only)
     if cfg.fmt == "json":
         _emit_json(
             {
@@ -244,7 +241,6 @@ def build_parser() -> _Parser:
     p_search = add_command("search", "extremal lower-bound search")
     p_search.add_argument("--iterations", type=int)
     p_search.add_argument("--seed", type=int)
-    p_search.add_argument("--max-degree", type=int)
     p_search.add_argument("--real-only", action="store_true")
 
     p_milin = add_command("milin", "Milin functional of a reference function", family=False)
@@ -266,8 +262,6 @@ def _validate(cfg: RunConfig) -> None:
         raise _UsageError("--c1, --c2 and --c3 must be a finite Schwarz triple (Carlson's bounds)")
     if cfg.iterations < 1:
         raise _UsageError("--iterations must be >= 1")
-    if cfg.max_degree < 1:
-        raise _UsageError("--max-degree must be >= 1")
     if cfg.samples < 1:
         raise _UsageError("--samples must be >= 1")
     if not 1 <= cfg.n <= DEFAULT_ORDER - 1:

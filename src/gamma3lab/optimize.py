@@ -189,16 +189,7 @@ def lattice(step: float) -> tuple[np.ndarray, np.ndarray]:
 
 def _dense_grid_max(family: Family) -> float:
     """Vectorized sweep of E over the lattice of step ``GRID_STEP``."""
-    w0, w1, w2, w3, w12, w111 = family.gamma3_weights
-    x, y = lattice(GRID_STEP)
-    return float(np.max(
-        abs(w0)
-        + abs(w1) * x
-        + abs(w2) * y
-        + w3 * (1.0 - x * x - y * y / (1.0 + x))
-        + abs(w12) * x * y
-        + abs(w111) * x ** 3
-    ))
+    return float(np.max(value_xy(family, *lattice(GRID_STEP))))
 
 
 def global_bound(family: Family) -> BoundReport:

@@ -11,16 +11,22 @@ witnesses are finite Blaschke products: one zero is pinned at the origin
 inside the disk, so every product is a genuine Schwarz function by
 construction.
 
+Schur's algorithm gives every triple from parameters |a|, |b| < 1 and
+|eta| <= 1 (:func:`schur_triple`); for unimodular eta,
+:func:`schur_witness` is the degree-3 product with those parameters.
+
 The same products come one at a time (:class:`BlaschkeProduct`) or as a
 batch of one degree (:class:`BlaschkeBatch`, one complex array per zero),
 and :func:`triple_of_blaschke` reads (c1, c2, c3) off either with the
 same lines of arithmetic.  Samplers are pure functions of their seed:
-:func:`sample_batch` maps one stdlib stream to a batch, and a single
-product is row 0 of it.
+:func:`sample_batch` maps one stdlib stream to a batch, a single product
+is row 0 of it, and :func:`sample_blocks` draws products of cycling
+degrees in batches of bounded size.
 """
 
 from __future__ import annotations
 
+import cmath
 import random
 from dataclasses import dataclass
 from typing import Iterator
@@ -163,6 +169,33 @@ def triple_of_blaschke(b: BlaschkeProduct | BlaschkeBatch) -> SchwarzTriple:
     return SchwarzTriple(b.rotation * t0, b.rotation * t1, b.rotation * t2)
 
 
+def schur_triple(a: complex, b: complex, eta: complex) -> SchwarzTriple:
+    """(c1, c2, c3) with Schur parameters a, b, eta (Schur 1917):
+
+    c1 = a, c2 = (1 - |a|^2) b, c3 = (1 - |a|^2)((1 - |b|^2) eta - conj(a) b^2).
+    Like :func:`triple_of_blaschke`, it runs on scalars and on arrays.
+    """
+    ka = 1.0 - (a * a.conjugate()).real
+    kb = 1.0 - (b * b.conjugate()).real
+    return SchwarzTriple(a, ka * b, ka * (kb * eta - a.conjugate() * b * b))
+
+
+def schur_witness(a: complex, b: complex, eta: complex) -> BlaschkeProduct:
+    """The degree-3 product with Schur parameters a, b and unimodular eta.
+
+    Its rotation is eta and its zeros are the roots of z^2 + p z + q, with
+    p = a conj(b) + b/eta and q = a/eta: real or a conjugate pair when a, b
+    are real and eta = +-1.  A zero may lie (1 - |a|)(1 - |b|)/2 inside the
+    circle, below double resolution, so one rounded onto or past the circle
+    is pulled in to modulus 1 - 1e-15.
+    """
+    p = a * b.conjugate() + b / eta
+    s = cmath.sqrt(p * p / 4.0 - a / eta)
+    zeros = (-p / 2.0 + s, -p / 2.0 - s)
+    inside = tuple(z if abs(z) < 1.0 else z * ((1.0 - 1e-15) / abs(z)) for z in zeros)
+    return BlaschkeProduct(inside, eta)
+
+
 def _draws(degree: int, real_only: bool) -> int:
     # uniforms per product: one per real zero or two per complex zero, one rotation
     return (degree - 1) * (1 if real_only else 2) + 1
@@ -212,21 +245,29 @@ def _derive_seed(master: int, index: int) -> int:
     return (master * 0x9E3779B97F4A7C15 + index) % (1 << 63)
 
 
+#: Most products in one batch of :func:`sample_blocks`, which bounds its memory.
+BLOCK_ROWS = 10_000
+
+
 def sample_blocks(
     seed: int, n: int, max_degree: int, real_only: bool = False
 ) -> Iterator[BlaschkeBatch]:
-    """n products with degrees cycling 1..max_degree, one batch per degree.
+    """n products with degrees cycling 1..max_degree, in batches of one degree.
 
     Sample i has degree 1 + i % max_degree and is row i // max_degree of
-    that degree's batch, so only degrees up to n draw samples and have a
-    batch.  Each batch draws from its own stream, seeded by mixing ``seed``
-    with the degree, so distinct seeds draw distinct streams.
+    that degree's stream, seeded by mixing ``seed`` with the degree, so
+    distinct seeds draw distinct streams.  Each stream is drawn in consecutive batches
+    of at most ``BLOCK_ROWS`` rows, which continue it as one batch would.
     """
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
     for degree in range(1, min(max_degree, n) + 1):
         count = len(range(degree - 1, n, max_degree))
-        yield sample_batch(_derive_seed(seed, degree), degree, count, real_only)
+        rng = random.Random(_derive_seed(seed, degree))
+        for start in range(0, count, BLOCK_ROWS):
+            rows = min(BLOCK_ROWS, count - start)
+            data = rng.randbytes(8 * rows * _draws(degree, real_only))
+            yield _batch_from_bytes(data, degree, real_only)
 
 
 def carlson_check(c: SchwarzTriple) -> tuple[float, float, float]:

@@ -1,23 +1,22 @@
-"""Randomized lower-bound search for sup |gamma_3| over each family.
+"""Lower-bound search for sup |gamma_3| over each family, in Schur coordinates.
 
-Candidates are finite Blaschke products, so every evaluation is a genuine
-member witness and the best value found is a rigorous lower bound (up to
-rounding) for the supremum that the proved maxima bound from above.
-The budget splits 70/30 between area-uniform global sampling across
-degrees and coordinate-wise refinement of the ten best candidates; the
-refinement perturbs one zero coordinate (or the rotation angle) at a time,
-keeps improvements, and halves the step after a round without progress,
-which stays robust where coincident zeros make the landscape non-smooth.
+Schur's algorithm gives the body of Schwarz triples exactly from (a, b, eta)
+with |a|, |b| < 1 and |eta| <= 1 (:func:`gamma3lab.schwarz.schur_triple`).
+The closed form is affine in eta: scale * gamma_3 = P(a, b) + w3 (1 - |a|^2)
+(1 - |b|^2) eta with w3 > 0, so eta = P/|P| (1 where P = 0) maximizes
+|gamma_3|, and the search runs over (a, b) alone.
 
-The global phase is batched: sample i has degree 1 + i % max_degree, and
-each degree's samples are one numpy batch drawn from its own stream, whose
-seed derives from the master seed and the degree by fixed integer mixing
-(:func:`gamma3lab.schwarz.sample_blocks`).  Distinct master seeds therefore
-share no stream, and runs are deterministic for a fixed (seed, iterations).
-The selected candidates are replayed through the series route before
-refinement, and refinement evaluates one product at a time through the
-same coefficient recurrence.  The proved bound each result is checked
-against is certified once per family per process.
+The budget splits 70/30 between global sampling and refinement.  The
+global phase evaluates one numpy batch of (a, b), area-uniform on the
+bidisk (uniform on (-1, 1)^2 when real-only), from a stream seeded by
+fixed integer mixing of the master seed, so distinct seeds share no stream
+and a run is deterministic.  The ten best points are refined by moving a
+or b by +-step (and +-i step unless real-only), keeping the best move of a
+round and halving the step after a round without progress.  The best point
+becomes one witness (:func:`gamma3lab.schwarz.schur_witness`), a degree-3
+product whose zeros are real or a conjugate pair in real-only searches.
+Its recurrence value is reported, and its series value must match the
+Schur value.  The proved bound is certified once per family per process.
 
 Whether the general (complex a2) upper bounds are attained is open; a
 result's gap quantifies the remaining interval without drawing conclusions.
@@ -25,10 +24,11 @@ result's gap quantifies the remaining interval without drawing conclusions.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .config import TOL, VerificationFailed
 from .families import Family, gamma3_closed_form
@@ -36,14 +36,17 @@ from .optimize import global_bound
 from .schwarz import (
     BlaschkeProduct,
     SchwarzTriple,
-    sample_blocks,
+    _derive_seed,
+    sample_batch,
+    schur_triple,
+    schur_witness,
     taylor_of_blaschke,
     triple_of_blaschke,
 )
 
 
 class WitnessMismatch(VerificationFailed):
-    """A sampled value disagrees with its product's series-route value."""
+    """A Schur value disagrees with its witness's series-route value."""
 
 
 #: Sharp suprema of |gamma_3| under the restriction that a2 is real,
@@ -109,61 +112,47 @@ def _proved_bound(family: Family) -> float:
     return global_bound(family).gamma3_bound
 
 
-def _evaluate(family: Family, b: BlaschkeProduct) -> float:
-    return abs(gamma3_closed_form(family, triple_of_blaschke(b)))
+def _schur_value(family: Family, a, b):
+    """(|gamma_3|, eta) at the best eta for Schur parameters a, b (scalars or arrays)."""
+    p = gamma3_closed_form(family, schur_triple(a, b, 0.0))
+    p = p + (p == 0)  # eta = 1 where P = 0
+    eta = p / abs(p)
+    return abs(gamma3_closed_form(family, schur_triple(a, b, eta))), eta
 
 
-def _replay(family: Family, sampled: float, b: BlaschkeProduct) -> float:
-    """The candidate's value one product at a time, checked against the
-    series route; refinement starts from it, so every reported value is
-    exactly what ``_evaluate`` gives its witness."""
-    w = taylor_of_blaschke(b, 3)
-    series = abs(gamma3_closed_form(family, SchwarzTriple(*w.coeffs[1:])))
-    # a search value may exceed the proved bound by this much, so a replay may not drift further
-    if abs(sampled - series) > TOL.bound_compliance:
-        raise WitnessMismatch(
-            f"sampled value {sampled!r} of {b!r} disagrees with its series value {series!r}"
-        )
-    return _evaluate(family, b)
-
-
-def _perturbations(b: BlaschkeProduct, step: float, real_only: bool):
-    """Deterministic one-coordinate moves, zeros kept strictly in the disk."""
-    for i, zero in enumerate(b.zeros):
-        deltas = (step, -step) if real_only else (step, -step, 1j * step, -1j * step)
-        for d in deltas:
-            moved = zero + d
-            if abs(moved) < 1.0 - 1e-9:
-                zeros = b.zeros[:i] + (moved,) + b.zeros[i + 1 :]
-                yield BlaschkeProduct(zeros, b.rotation)
-    if not real_only:
-        theta = cmath.phase(b.rotation)
-        for d in (step, -step):
-            yield BlaschkeProduct(b.zeros, cmath.exp(1j * (theta + d)))
+def _top_candidates(values: np.ndarray) -> np.ndarray:
+    """Indices of the largest values, ordered by (-value, index)."""
+    k = min(_TOP_CANDIDATES, len(values))
+    cut = np.partition(values, len(values) - k)[len(values) - k]
+    tied_or_above = np.flatnonzero(values >= cut)
+    return tied_or_above[np.argsort(-values[tied_or_above], kind="stable")][:k]
 
 
 def _refine(
-    family: Family, b: BlaschkeProduct, value: float, budget: int
-) -> tuple[BlaschkeProduct, float, int]:
-    """Coordinate descent; returns (witness, value, evaluations used)."""
-    real_only = all(z.imag == 0.0 for z in b.zeros) and b.rotation.imag == 0.0
+    family: Family, a: complex, b: complex, value: float, budget: int, real_only: bool
+) -> tuple[complex, complex, float, int]:
+    """Coordinate search from (a, b); returns (a, b, value, evaluations used)."""
+    directions = (1, -1) if real_only else (1, -1, 1j, -1j)
     step = _INITIAL_STEP
     used = 0
     for _ in range(_REFINE_ROUNDS):
         if used >= budget or step < 1e-12:
             break
+        moves = [(a + d * step, b) for d in directions] + [(a, b + d * step) for d in directions]
         improved = False
-        for candidate in _perturbations(b, step, real_only):
+        for ma, mb in moves:
             if used >= budget:
                 break
-            v = _evaluate(family, candidate)
+            if max(abs(ma), abs(mb)) >= 1.0 - 1e-9:
+                continue
+            v, _ = _schur_value(family, ma, mb)
             used += 1
             if v > value:
-                b, value = candidate, v
+                a, b, value = ma, mb, v
                 improved = True
         if not improved:
             step *= 0.5
-    return b, value, used
+    return a, b, value, used
 
 
 def search_lower_bound(
@@ -171,47 +160,51 @@ def search_lower_bound(
     iterations: int = 100_000,
     seed: int = 1,
     real_only: bool = False,
-    max_degree: int = 4,
 ) -> SearchResult:
-    """Best |gamma_3| witness over Blaschke products of degree <= max_degree.
+    """Best |gamma_3| witness over the Schur parameters (a, b).
 
     ``iterations`` is the total evaluation budget; 70% goes to global
-    sampling cycling through the degrees, the rest to refining the top
-    candidates.  Deterministic for fixed arguments.
+    sampling, the rest to refining the top candidates.  Deterministic for
+    fixed arguments.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    if max_degree < 1:
-        raise ValueError("max_degree must be >= 1")
     upper_bound = _proved_bound(family)
     n_global = max(1, round(_GLOBAL_FRACTION * iterations))
-    sampled: list[tuple[float, int, BlaschkeProduct]] = []
-    for batch in sample_blocks(seed, n_global, max_degree, real_only):
-        values = abs(gamma3_closed_form(family, triple_of_blaschke(batch)))
-        for j in (-values).argsort(kind="stable")[:_TOP_CANDIDATES]:
-            # row j of the batch is sample i = degree - 1 + j * max_degree
-            i = batch.degree - 1 + int(j) * max_degree
-            sampled.append((float(values[j]), i, batch.product(j)))
-    sampled.sort(key=lambda t: (-t[0], t[1]))
-    top = [(_replay(family, v, b), b) for v, _, b in sampled[:_TOP_CANDIDATES]]
+    # the two free zeros of a degree-3 batch have the law wanted for (a, b)
+    a, b = sample_batch(_derive_seed(seed, 3), 3, n_global, real_only).zeros
+    values, _ = _schur_value(family, a, b)
+    top = _top_candidates(values)
+    best_value, best_a, best_b = float(values[top[0]]), complex(a[top[0]]), complex(b[top[0]])
 
     budget = iterations - n_global
-    best_value, best = top[0]
     if budget > 0:
         per_candidate = max(1, budget // len(top))
         remaining = budget
-        for v, b in top:
+        for j in top:
             if remaining <= 0:
                 break
-            rb, rv, used = _refine(family, b, v, min(per_candidate, remaining))
+            ra, rb, rv, used = _refine(
+                family, complex(a[j]), complex(b[j]), float(values[j]),
+                min(per_candidate, remaining), real_only,
+            )
             remaining -= used
             if rv > best_value:
-                best_value, best = rv, rb
+                best_value, best_a, best_b = rv, ra, rb
 
+    _, eta = _schur_value(family, best_a, best_b)
+    witness = schur_witness(best_a, best_b, eta)
+    w = taylor_of_blaschke(witness, 3)
+    series = abs(gamma3_closed_form(family, SchwarzTriple(*w.coeffs[1:])))
+    # a search value may exceed the proved bound by this much, so the witness may not drift further
+    if abs(best_value - series) > TOL.bound_compliance:
+        raise WitnessMismatch(
+            f"Schur value {best_value!r} disagrees with the series value {series!r} of {witness!r}"
+        )
     return SearchResult(
         family=family,
-        best_value=best_value,
-        witness=best,
+        best_value=abs(gamma3_closed_form(family, triple_of_blaschke(witness))),
+        witness=witness,
         iterations=iterations,
         real_only=real_only,
         upper_bound=upper_bound,

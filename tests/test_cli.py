@@ -165,6 +165,12 @@ class TestUsageErrors:
         code, _, _ = run_cli(capsys)
         assert code == 1
 
+    def test_max_degree_is_not_an_option(self, capsys):
+        code, out, err = run_cli(capsys, "search", "f1", "--max-degree", "4")
+        assert code == 1
+        assert out == ""
+        assert "--max-degree" in err
+
     @pytest.mark.parametrize(
         "option, value", [("--c1", "nan"), ("--c2", "inf"), ("--c3", "1+nanj")]
     )
@@ -248,8 +254,7 @@ _ARGV = st.one_of(
     _command(st.just(["verify-carlson"]),
              {"--format": _FORMAT, "--samples": _SIZE, "--seed": _SEED, "--real-only": None}),
     _command(_with_family("search"),
-             {"--format": _FORMAT, "--iterations": _SIZE, "--seed": _SEED,
-              "--max-degree": st.integers(-3, 8), "--real-only": None}),
+             {"--format": _FORMAT, "--iterations": _SIZE, "--seed": _SEED, "--real-only": None}),
     _command(st.just(["milin"]),
              {"--format": _FORMAT, "--n": st.integers(-3, 10),
               "--function": st.sampled_from(["koebe", "identity", "z"])}),

@@ -1,6 +1,9 @@
 import cmath
 import math
+import random
 import sys
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings
@@ -20,11 +23,13 @@ from gamma3lab import (
     sample_batch,
     sample_blocks,
     sample_schwarz,
+    schur_triple,
+    schur_witness,
     taylor_of_blaschke,
     triple_of_blaschke,
 )
-
-from gamma3lab.schwarz import _batch_from_bytes
+from gamma3lab import schwarz
+from gamma3lab.schwarz import _batch_from_bytes, _derive_seed
 
 from conftest import disk_complex
 
@@ -227,6 +232,68 @@ class TestSampleBlocks:
         # nearby seeds must not reuse each other's samples, as they would
         # if sample i were seeded with seed + i
         assert not _products(sample_blocks(1, 3000, 6)) & _products(sample_blocks(7, 3000, 6))
+
+    def test_chunked_rows_are_the_unchunked_rows(self, monkeypatch):
+        monkeypatch.setattr(schwarz, "BLOCK_ROWS", 7)
+        for real_only in (False, True):
+            blocks = list(sample_blocks(3, 101, 4, real_only))
+            assert max(len(b) for b in blocks) == 7
+            for degree in (1, 2, 3, 4):
+                chunks = [b for b in blocks if b.degree == degree]
+                count = len(range(degree - 1, 101, 4))
+                whole = sample_batch(_derive_seed(3, degree), degree, count, real_only)
+                for k, a in enumerate(whole.zeros):
+                    assert (np.concatenate([c.zeros[k] for c in chunks]) == a).all()
+                assert (np.concatenate([c.rotation for c in chunks]) == whole.rotation).all()
+
+
+def _random_schur_parameters(rng, real):
+    """(a, b, eta): a, b in the disk (or real), eta unimodular (or +-1)."""
+    if real:
+        return rng.uniform(-1, 1) + 0j, rng.uniform(-1, 1) + 0j, complex(rng.choice((1, -1)))
+    a, b = (cmath.rect(math.sqrt(rng.random()), rng.uniform(0, 2 * math.pi)) for _ in range(2))
+    return a, b, cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+
+
+class TestSchurParameters:
+    def test_witness_has_the_schur_triple(self):
+        rng = random.Random(17)
+        for real in (False, True):
+            for _ in range(2000):
+                a, b, eta = _random_schur_parameters(rng, real)
+                w = schur_witness(a, b, eta)
+                t, u = schur_triple(a, b, eta), triple_of_blaschke(w)
+                assert max(abs(t.c1 - u.c1), abs(t.c2 - u.c2), abs(t.c3 - u.c3)) <= 1e-13
+                assert w.degree == 3 and w.rotation == eta
+                if real:
+                    z1, z2 = w.zeros
+                    assert (z1.imag == 0 and z2.imag == 0) or z1 == z2.conjugate()
+                    assert w.rotation in (1 + 0j, -1 + 0j)
+
+    def test_runs_on_arrays(self):
+        a, b = sample_batch(5, 3, 50).zeros
+        eta = sample_batch(6, 1, 50).rotation
+        t = schur_triple(a, b, eta)
+        for j in range(50):
+            s = schur_triple(complex(a[j]), complex(b[j]), complex(eta[j]))
+            assert max(abs(t.c1[j] - s.c1), abs(t.c2[j] - s.c2), abs(t.c3[j] - s.c3)) <= 1e-15
+
+    def test_witness_zeros_stay_inside_near_the_boundary(self):
+        # a zero may lie about (1-|a|)(1-|b|)/2 from the circle, below double resolution
+        rng = random.Random(23)
+        for ra in (0.0, 0.5, 1 - 1e-6, 1 - 1e-9):
+            for rb in (0.0, 0.5, 1 - 1e-6, 1 - 1e-9):
+                for _ in range(500):
+                    a = cmath.rect(ra, rng.uniform(0, 2 * math.pi))
+                    b = cmath.rect(rb, rng.uniform(0, 2 * math.pi))
+                    eta = cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+                    assert all(abs(z) < 1 for z in schur_witness(a, b, eta).zeros)
+
+    def test_schur_triples_are_feasible(self):
+        rng = random.Random(29)
+        for real in (False, True):
+            for _ in range(2000):
+                assert is_feasible(schur_triple(*_random_schur_parameters(rng, real)))
 
 
 class TestCarlsonCheck:

@@ -1,6 +1,7 @@
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from gamma3lab import (
@@ -11,26 +12,39 @@ from gamma3lab import (
     VerificationFailed,
     WitnessMismatch,
     gamma3_closed_form,
-    sample_blocks,
+    sample_batch,
+    schur_triple,
     search,
     search_lower_bound,
     taylor_of_blaschke,
     triple_of_blaschke,
 )
+from gamma3lab.schwarz import _derive_seed
 from gamma3lab.search import REMARK_VALUES, _refine
+
+
+def _best_over_eta(family, a, b):
+    """max over |eta| <= 1 of |gamma_3|: |P| + w3 (1 - |a|^2)(1 - |b|^2) / scale."""
+    p = gamma3_closed_form(family, schur_triple(a, b, 0.0))
+    w3 = family.gamma3_weights[3]
+    return abs(p) + w3 * (1 - abs(a) ** 2) * (1 - abs(b) ** 2) / family.scale
 
 
 class TestSearchLowerBound:
     def test_single_rotation_evaluation(self):
-        # seed 2 yields the rotation +1 sample, i.e. w(z) = z
-        r = search_lower_bound(F1, iterations=1, seed=2, real_only=True, max_degree=1)
-        assert r.best_value == 3 / 16
-        assert r.witness.degree == 1
-        assert r.witness.rotation == 1 + 0j
+        # one evaluation: the sampled (a, b) with the rotation eta = P/|P| in closed form
+        for seed in (1, 2, 3):
+            r = search_lower_bound(F1, iterations=1, seed=seed, real_only=True)
+            a, b = sample_batch(_derive_seed(seed, 3), 3, 1, True).zeros
+            assert r.best_value == pytest.approx(_best_over_eta(F1, a[0], b[0]), abs=1e-15)
+            p = complex(gamma3_closed_form(F1, schur_triple(a[0], b[0], 0.0)))
+            assert r.witness.degree == 3
+            assert r.witness.rotation == p / abs(p)
+            assert r.witness.rotation in (1 + 0j, -1 + 0j)
 
     def test_deterministic(self):
-        a = search_lower_bound(F1, iterations=800, seed=5, max_degree=3)
-        b = search_lower_bound(F1, iterations=800, seed=5, max_degree=3)
+        a = search_lower_bound(F1, iterations=800, seed=5)
+        b = search_lower_bound(F1, iterations=800, seed=5)
         assert a.best_value == b.best_value
         assert a.witness == b.witness
 
@@ -38,16 +52,26 @@ class TestSearchLowerBound:
         # iterations=1 leaves no refinement budget, so the best is a sampled value
         runs = [(family, 600, 3) for family in (F1, F2)] + [(F2, 1, s) for s in range(1, 11)]
         for family, iterations, seed in runs:
-            r = search_lower_bound(family, iterations=iterations, seed=seed, max_degree=4)
-            replay = abs(gamma3_closed_form(family, triple_of_blaschke(r.witness)))
-            assert replay == r.best_value
-            w = taylor_of_blaschke(r.witness, 3).coeffs
-            series = abs(gamma3_closed_form(family, SchwarzTriple(*w[1:])))
-            assert abs(series - r.best_value) <= 1e-9
+            for real_only in (False, True):
+                r = search_lower_bound(family, iterations, seed, real_only)
+                replay = abs(gamma3_closed_form(family, triple_of_blaschke(r.witness)))
+                assert replay == r.best_value
+                w = taylor_of_blaschke(r.witness, 3).coeffs
+                series = abs(gamma3_closed_form(family, SchwarzTriple(*w[1:])))
+                assert abs(series - r.best_value) <= 1e-9
+
+    def test_real_only_reaches_the_sharp_real_a2_values(self):
+        # their extremal Schwarz functions have conjugate-pair zeros
+        for family in (F1, F2):
+            for seed in (1, 2, 3):
+                r = search_lower_bound(family, 100_000, seed, real_only=True)
+                assert r.best_value >= REMARK_VALUES[family.tag] - 1e-9
+                z1, z2 = r.witness.zeros
+                assert z1.imag != 0 and z1 == z2.conjugate()
 
     def test_respects_upper_bound(self):
         for seed in (1, 2, 3):
-            r = search_lower_bound(F2, iterations=400, seed=seed, max_degree=5)
+            r = search_lower_bound(F2, iterations=400, seed=seed)
             assert r.best_value <= r.upper_bound + 1e-9
 
     def test_remark_value_only_when_real(self):
@@ -57,23 +81,27 @@ class TestSearchLowerBound:
         assert r.remark_value is None
 
     def test_refinement_never_loses_the_sampled_best(self):
-        iterations, seed, max_degree = 700, 9, 4
+        iterations, seed = 700, 9
         n_global = round(0.7 * iterations)
-        sampled_best = max(
-            abs(gamma3_closed_form(F1, triple_of_blaschke(batch))).max()
-            for batch in sample_blocks(seed, n_global, max_degree)
-        )
-        r = search_lower_bound(F1, iterations=iterations, seed=seed, max_degree=max_degree)
-        assert r.best_value >= sampled_best - 1e-15
+        a, b = sample_batch(_derive_seed(seed, 3), 3, n_global).zeros
+        sampled_best = _best_over_eta(F1, a, b).max()
+        r = search_lower_bound(F1, iterations=iterations, seed=seed)
+        # the witness route may differ from the Schur route by rounding
+        assert r.best_value >= sampled_best - 1e-13
+
+    def test_top_candidates_order_by_value_then_index(self):
+        values = np.array([0.5, 0.9, 0.1, 0.9, 0.7] + [0.0] * 20 + [0.9])
+        assert search._top_candidates(values).tolist() == [1, 3, 25, 4, 0, 2, 5, 6, 7, 8]
+        assert search._top_candidates(values[:3]).tolist() == [1, 0, 2]
 
     def test_replay_catches_a_wrong_sampled_value(self, monkeypatch):
-        exact = search.triple_of_blaschke
+        exact = search.schur_triple
 
-        def skewed(b):
-            t = exact(b)
+        def skewed(a, b, eta):
+            t = exact(a, b, eta)
             return SchwarzTriple(t.c1, t.c2, t.c3 + 1e-6)
 
-        monkeypatch.setattr(search, "triple_of_blaschke", skewed)
+        monkeypatch.setattr(search, "schur_triple", skewed)
         with pytest.raises(WitnessMismatch):
             search_lower_bound(F1, iterations=100, seed=1)
 
@@ -95,18 +123,22 @@ class TestSearchLowerBound:
         assert calls == ["F2", "F1"]
 
     def test_refine_is_monotone(self):
-        r = search_lower_bound(F1, iterations=200, seed=4, max_degree=3)
-        value = r.best_value
-        for budget in (10, 50, 200):
-            _, refined, _ = _refine(F1, r.witness, value, budget)
-            assert refined >= value
+        for real_only in (False, True):
+            a, b = sample_batch(4, 3, 20, real_only).zeros
+            for j in range(20):
+                start = _best_over_eta(F1, a[j], b[j])
+                for budget in (10, 50, 200):
+                    ra, rb, refined, used = _refine(
+                        F1, complex(a[j]), complex(b[j]), start, budget, real_only
+                    )
+                    assert refined >= start and used <= budget
+                    assert abs(ra) < 1 - 1e-9 and abs(rb) < 1 - 1e-9
+                    if real_only:
+                        assert ra.imag == 0 and rb.imag == 0
 
     def test_validation(self):
         with pytest.raises(ValueError):
             search_lower_bound(F1, iterations=0)
-        with pytest.raises(ValueError):
-            search_lower_bound(F1, iterations=10, max_degree=0)
-
 
     def test_never_imports_numpy_random(self):
         code = (
@@ -121,7 +153,7 @@ class TestSearchLowerBound:
 
 class TestGapReport:
     def test_gap_subtraction(self):
-        r = search_lower_bound(F1, iterations=300, seed=2, max_degree=4)
+        r = search_lower_bound(F1, iterations=300, seed=2)
         assert r.gap == r.upper_bound - r.best_value
         assert r.relative_gap == r.gap / r.upper_bound
         assert r.gap >= -1e-9
