@@ -20,8 +20,9 @@ batch of one degree (:class:`BlaschkeBatch`, one complex array per zero),
 and :func:`triple_of_blaschke` reads (c1, c2, c3) off either with the
 same lines of arithmetic.  Samplers are pure functions of their seed:
 :func:`sample_batch` maps one stdlib stream to a batch, a single product
-is row 0 of it, and :func:`sample_blocks` draws products of cycling
-degrees in batches of bounded size.
+is row 0 of it, :func:`_stream_batches` draws one stream in batches of
+bounded size, and :func:`sample_blocks` draws products of cycling degrees
+that way.
 """
 
 from __future__ import annotations
@@ -245,8 +246,24 @@ def _derive_seed(master: int, index: int) -> int:
     return (master * 0x9E3779B97F4A7C15 + index) % (1 << 63)
 
 
-#: Most products in one batch of :func:`sample_blocks`, which bounds its memory.
+#: Most products in one batch of :func:`_stream_batches`, which bounds its memory.
 BLOCK_ROWS = 10_000
+
+
+def _stream_batches(
+    seed: int, degree: int, n: int, real_only: bool = False
+) -> Iterator[BlaschkeBatch]:
+    """The n products of ``sample_batch(seed, degree, n, real_only)``, drawn
+    in consecutive batches of at most ``BLOCK_ROWS`` rows.
+
+    Each batch continues the one ``random.Random(seed)`` stream where the
+    previous one stopped, so the rows are the rows of the single batch.
+    """
+    rng = random.Random(seed)
+    for start in range(0, n, BLOCK_ROWS):
+        rows = min(BLOCK_ROWS, n - start)
+        data = rng.randbytes(8 * rows * _draws(degree, real_only))
+        yield _batch_from_bytes(data, degree, real_only)
 
 
 def sample_blocks(
@@ -256,18 +273,14 @@ def sample_blocks(
 
     Sample i has degree 1 + i % max_degree and is row i // max_degree of
     that degree's stream, seeded by mixing ``seed`` with the degree, so
-    distinct seeds draw distinct streams.  Each stream is drawn in consecutive batches
-    of at most ``BLOCK_ROWS`` rows, which continue it as one batch would.
+    distinct seeds draw distinct streams.  Each stream comes from
+    :func:`_stream_batches`, in batches of at most ``BLOCK_ROWS`` rows.
     """
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
     for degree in range(1, min(max_degree, n) + 1):
         count = len(range(degree - 1, n, max_degree))
-        rng = random.Random(_derive_seed(seed, degree))
-        for start in range(0, count, BLOCK_ROWS):
-            rows = min(BLOCK_ROWS, count - start)
-            data = rng.randbytes(8 * rows * _draws(degree, real_only))
-            yield _batch_from_bytes(data, degree, real_only)
+        yield from _stream_batches(_derive_seed(seed, degree), degree, count, real_only)
 
 
 def carlson_check(c: SchwarzTriple) -> tuple[float, float, float]:

@@ -7,16 +7,17 @@ The closed form is affine in eta: scale * gamma_3 = P(a, b) + w3 (1 - |a|^2)
 |gamma_3|, and the search runs over (a, b) alone.
 
 The budget splits 70/30 between global sampling and refinement.  The
-global phase evaluates one numpy batch of (a, b), area-uniform on the
-bidisk (uniform on (-1, 1)^2 when real-only), from a stream seeded by
-fixed integer mixing of the master seed, so distinct seeds share no stream
-and a run is deterministic.  The ten best points are refined by moving a
-or b by +-step (and +-i step unless real-only), keeping the best move of a
-round and halving the step after a round without progress.  The best point
-becomes one witness (:func:`gamma3lab.schwarz.schur_witness`), a degree-3
-product whose zeros are real or a conjugate pair in real-only searches.
-Its recurrence value is reported, and its series value must match the
-Schur value.  The proved bound is certified once per family per process.
+global phase evaluates (a, b), area-uniform on the bidisk (uniform on
+(-1, 1)^2 when real-only), in numpy batches of bounded size, all drawn
+from one stream seeded by fixed integer mixing of the master seed, so
+distinct seeds share no stream and a run is deterministic.  The ten best
+points are refined by moving a or b by +-step (and +-i step unless
+real-only), keeping the best move of a round and halving the step after
+a round without progress.  The best point becomes one witness
+(:func:`gamma3lab.schwarz.schur_witness`), a degree-3 product whose zeros
+are real or a conjugate pair in real-only searches.  Its recurrence value
+is reported, and its series value must match the Schur value.  The proved
+bound is certified once per family per process.
 
 Whether the general (complex a2) upper bounds are attained is open; a
 result's gap quantifies the remaining interval without drawing conclusions.
@@ -37,7 +38,7 @@ from .schwarz import (
     BlaschkeProduct,
     SchwarzTriple,
     _derive_seed,
-    sample_batch,
+    _stream_batches,
     schur_triple,
     schur_witness,
     taylor_of_blaschke,
@@ -171,9 +172,15 @@ def search_lower_bound(
         raise ValueError("iterations must be >= 1")
     upper_bound = _proved_bound(family)
     n_global = max(1, round(_GLOBAL_FRACTION * iterations))
-    # the two free zeros of a degree-3 batch have the law wanted for (a, b)
-    a, b = sample_batch(_derive_seed(seed, 3), 3, n_global, real_only).zeros
-    values, _ = _schur_value(family, a, b)
+    # the two free zeros of a degree-3 batch have the law wanted for (a, b);
+    # a batch's best survive in index order, and their best are the overall best
+    survivors = []
+    for batch in _stream_batches(_derive_seed(seed, 3), 3, n_global, real_only):
+        a, b = batch.zeros
+        values, _ = _schur_value(family, a, b)
+        keep = np.sort(_top_candidates(values))
+        survivors.append((values[keep], a[keep], b[keep]))
+    values, a, b = (np.concatenate(arrays) for arrays in zip(*survivors))
     top = _top_candidates(values)
     best_value, best_a, best_b = float(values[top[0]]), complex(a[top[0]]), complex(b[top[0]])
 

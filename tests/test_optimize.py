@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from gamma3lab import (
@@ -15,9 +17,16 @@ from gamma3lab import (
     interior_critical_points,
     is_negative_definite,
     lattice,
+    value_xy,
 )
 from gamma3lab import optimize as optimize_module
-from gamma3lab.optimize import CertificationMismatch, _dense_grid_max, _edge_polynomial
+from gamma3lab.optimize import (
+    GRID_STEP,
+    CertificationMismatch,
+    _dense_grid_max,
+    _edge_polynomial,
+    _lattice_columns,
+)
 
 X2 = (4 - math.sqrt(7)) / 6
 Y2 = (47 - 14 * math.sqrt(7)) / 108
@@ -198,3 +207,58 @@ class TestLattice:
     def test_matches_the_column_loop(self, step):
         xs, ys = lattice(step)
         assert list(zip(xs.tolist(), ys.tolist())) == _column_loop(step)
+
+
+def _sweep_points():
+    """One lattice point of each kind that the blocked sweep must reach."""
+    x, ticks, counts, top = _lattice_columns(GRID_STEP)
+    c = optimize_module._SWEEP_COLUMNS
+    last = (len(x) - 1) // c * c  # first column of the last block
+    assert len(x) % c != 0 and (x[-1], top[-1]) == (1.0, 0.0)
+    return {
+        "first column of a block": (x[c], ticks[counts[c] - 1]),
+        "last column of a block": (x[2 * c - 1], ticks[0]),
+        "ragged last block": (x[last + 1], ticks[counts[last + 1] - 1]),
+        "top point": (x[c + 3], top[c + 3]),
+        "corner (1, 0)": (x[-1], top[-1]),
+    }
+
+
+class TestDenseGridSweep:
+    @pytest.mark.parametrize("columns", [1, 7, 64, 2000])
+    def test_blocks_give_the_flat_maximum_bit_for_bit(self, monkeypatch, columns):
+        # 1001 columns: 7 and 64 leave a ragged last block, 2000 is one block
+        monkeypatch.setattr(optimize_module, "_SWEEP_COLUMNS", columns)
+        for family in (F1, F2, F3):
+            flat = float(np.max(value_xy(family, *lattice(GRID_STEP))))
+            assert _dense_grid_max(family) == flat
+
+    def test_columns_describe_the_lattice(self):
+        for step in (0.1, 0.0013, GRID_STEP):
+            x, ticks, counts, top = _lattice_columns(step)
+            xs, ys = lattice(step)
+            assert (xs == np.repeat(x, counts + 1)).all()
+            assert (ys[np.cumsum(counts + 1) - 1] == top).all()
+            assert (np.diff(counts) <= 0).all()
+
+    @pytest.mark.parametrize("where", list(_sweep_points()))
+    def test_sweep_reaches_every_kind_of_point(self, monkeypatch, where):
+        # a bump of 100 at one lattice point lifts it above the analytic maximum
+        x0, y0 = _sweep_points()[where]
+
+        def bumped(family, x, y):
+            return value_xy(family, x, y) + 100.0 * ((x == x0) & (y == y0))
+
+        monkeypatch.setattr(optimize_module, "value_xy", bumped)
+        with pytest.raises(CertificationMismatch):
+            global_bound(F1)
+
+    def test_warm_bound_stays_small_in_memory(self):
+        global_bound(F1)
+        tracemalloc.start()
+        try:
+            global_bound(F1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6

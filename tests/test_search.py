@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from gamma3lab import (
     taylor_of_blaschke,
     triple_of_blaschke,
 )
+from gamma3lab import schwarz
 from gamma3lab.schwarz import _derive_seed
 from gamma3lab.search import REMARK_VALUES, _refine
 
@@ -135,6 +137,24 @@ class TestSearchLowerBound:
                     assert abs(ra) < 1 - 1e-9 and abs(rb) < 1 - 1e-9
                     if real_only:
                         assert ra.imag == 0 and rb.imag == 0
+
+    def test_chunked_draw_gives_the_unchunked_results(self, monkeypatch):
+        runs = [(f, real_only, seed) for f in (F1, F2) for real_only in (False, True) for seed in (1, 7)]
+        whole = [search_lower_bound(f, 800, seed, ro) for f, ro, seed in runs]
+        monkeypatch.setattr(schwarz, "BLOCK_ROWS", 7)  # 560 global samples in 80 batches
+        for (f, ro, seed), r in zip(runs, whole):
+            chunked = search_lower_bound(f, 800, seed, ro)
+            assert chunked.best_value == r.best_value and chunked.witness == r.witness
+
+    def test_a_large_search_stays_small_in_memory(self):
+        search_lower_bound(F1, iterations=50)  # certifies the bound outside the measurement
+        tracemalloc.start()
+        try:
+            search_lower_bound(F1, iterations=10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
     def test_validation(self):
         with pytest.raises(ValueError):
