@@ -72,7 +72,6 @@ from .optimize import (
     edge_maximum,
     global_bound,
     interior_critical_points,
-    lattice,
 )
 from .search import (
     REMARK_VALUES,

@@ -98,10 +98,13 @@ def _cmd_bound(cfg: RunConfig) -> int:
         _emit_json(_bound_json(report))
     elif cfg.fmt == "csv":
         print("x,y,value")
-        xs, ys = optimize.lattice(cfg.grid_step)
-        # one value at a time: numpy's x ** 3 can differ from Python's in the last bit
-        for x, y in zip(xs.tolist(), ys.tolist()):
-            print(f"{_fmt(x)},{_fmt(y)},{_fmt(value_xy(cfg.family, x, y))}")
+        columns = optimize._lattice_columns(cfg.grid_step)
+        xs, ticks, counts, tops = (a.tolist() for a in columns)
+        # column by column, one value at a time: numpy's x ** 3 can differ
+        # from Python's in the last bit
+        for x, k, top in zip(xs, counts, tops):
+            for y in ticks[:k] + [top]:
+                print(f"{_fmt(x)},{_fmt(y)},{_fmt(value_xy(cfg.family, x, y))}")
     else:
         print(f"family {report.family.tag}")
         for p, v in report.interior_points:

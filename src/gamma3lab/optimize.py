@@ -14,9 +14,9 @@ A dense lattice sweep over E at ``GRID_STEP`` is the independent route:
 if it ever exceeds the analytic maximum beyond ``TOL.certification``,
 some formula was transcribed wrong and :class:`CertificationMismatch` is
 raised.  The lattice is described once, by columns (x, shared y ticks,
-ticks below each column's top, top points); :func:`lattice` flattens it
-into points, and the sweep evaluates it in blocks of adjacent columns,
-whose temporaries stay in cache, with the same arithmetic per point.
+ticks below each column's top, top points); the csv dump walks it point
+by point, and the sweep evaluates it in blocks of adjacent columns, whose
+temporaries stay in cache, with the same arithmetic per point.
 """
 
 from __future__ import annotations
@@ -184,19 +184,6 @@ def _lattice_columns(step: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     x = np.minimum(ticks, 1.0)
     top = 1.0 - x * x
     return x, ticks, np.searchsorted(ticks, top - 1e-12), top
-
-
-def lattice(step: float) -> tuple[np.ndarray, np.ndarray]:
-    """Points (x, y) of E on a lattice of the given step, column by column:
-    the points of :func:`_lattice_columns` below each top, then the top point.
-    """
-    x, ticks, counts, top = _lattice_columns(step)
-    ys = np.empty((len(x), len(ticks) + 1))
-    ys[:, :-1] = ticks
-    ys[:, -1] = top
-    keep = np.ones(ys.shape, dtype=bool)
-    keep[:, :-1] = np.arange(len(ticks)) < counts[:, None]
-    return np.broadcast_to(x[:, None], ys.shape)[keep], ys[keep]
 
 
 #: Adjacent lattice columns per block of the grid sweep: a block's

@@ -20,9 +20,9 @@ batch of one degree (:class:`BlaschkeBatch`, one complex array per zero),
 and :func:`triple_of_blaschke` reads (c1, c2, c3) off either with the
 same lines of arithmetic.  Samplers are pure functions of their seed:
 :func:`sample_batch` maps one stdlib stream to a batch, a single product
-is row 0 of it, :func:`_stream_batches` draws one stream in batches of
-bounded size, and :func:`sample_blocks` draws products of cycling degrees
-that way.
+is row 0 of it, :func:`_stream_uniforms` draws one stream's uniforms in
+blocks of bounded size, and :func:`sample_blocks` draws products of
+cycling degrees that way.
 """
 
 from __future__ import annotations
@@ -202,23 +202,29 @@ def _draws(degree: int, real_only: bool) -> int:
     return (degree - 1) * (1 if real_only else 2) + 1
 
 
-def _batch_from_bytes(data: bytes, degree: int, real_only: bool) -> BlaschkeBatch:
-    """Products of the given degree from random bytes, 8 bytes per uniform.
+def _uniforms(data: bytes, degree: int, real_only: bool) -> np.ndarray:
+    """Uniforms in [0, 1) from random bytes, 8 bytes each, one column per product.
 
-    Product j reads the j-th run of uniforms: for each zero a radius and an
-    angle draw (or one draw when real), then a rotation draw.
+    Column j holds product j's run of uniforms: for each zero a radius and
+    an angle draw (or one draw when real), then a rotation draw.
     """
     # the top 53 bits of each 64-bit word give a double in [0, 1), as random() does
     bits = np.frombuffer(data, dtype="<u8") >> 11
-    u = (bits * 2.0**-53).reshape(-1, _draws(degree, real_only)).T
+    return (bits * 2.0**-53).reshape(-1, _draws(degree, real_only)).T
+
+
+def _zeros(u: np.ndarray, real_only: bool) -> tuple[np.ndarray, ...]:
+    """Zeros from rows of uniforms: a radius and an angle row per zero, or one row when real."""
     if real_only:
-        a = 2.0 * u[:-1] - 1.0
-        zeros = tuple(np.where(abs(a) < 1.0, a, 0.0) + 0j)  # a = -1 at u = 0
-        rotation = np.where(u[-1] < 0.5, 1.0, -1.0) + 0j
-    else:
-        zeros = tuple(np.sqrt(u[:-1:2]) * np.exp(2j * np.pi * u[1:-1:2]))
-        rotation = np.exp(2j * np.pi * u[-1])
-    return BlaschkeBatch(zeros, rotation)
+        a = 2.0 * u - 1.0
+        return tuple(np.where(abs(a) < 1.0, a, 0.0) + 0j)  # a = -1 at u = 0
+    return tuple(np.sqrt(u[::2]) * np.exp(2j * np.pi * u[1::2]))
+
+
+def _batch(u: np.ndarray, real_only: bool) -> BlaschkeBatch:
+    """The products drawn by the columns of ``u``."""
+    rotation = np.where(u[-1] < 0.5, 1.0, -1.0) + 0j if real_only else np.exp(2j * np.pi * u[-1])
+    return BlaschkeBatch(_zeros(u[:-1], real_only), rotation)
 
 
 def sample_batch(seed: int, degree: int, n: int, real_only: bool = False) -> BlaschkeBatch:
@@ -233,7 +239,7 @@ def sample_batch(seed: int, degree: int, n: int, real_only: bool = False) -> Bla
     if degree < 1:
         raise ValueError("degree must be >= 1")
     data = random.Random(seed).randbytes(8 * n * _draws(degree, real_only))
-    return _batch_from_bytes(data, degree, real_only)
+    return _batch(_uniforms(data, degree, real_only), real_only)
 
 
 def sample_schwarz(seed: int, degree: int, real_only: bool = False) -> BlaschkeProduct:
@@ -246,24 +252,23 @@ def _derive_seed(master: int, index: int) -> int:
     return (master * 0x9E3779B97F4A7C15 + index) % (1 << 63)
 
 
-#: Most products in one batch of :func:`_stream_batches`, which bounds its memory.
+#: Most products in one block of :func:`_stream_uniforms`, which bounds its memory.
 BLOCK_ROWS = 10_000
 
 
-def _stream_batches(
+def _stream_uniforms(
     seed: int, degree: int, n: int, real_only: bool = False
-) -> Iterator[BlaschkeBatch]:
-    """The n products of ``sample_batch(seed, degree, n, real_only)``, drawn
-    in consecutive batches of at most ``BLOCK_ROWS`` rows.
+) -> Iterator[np.ndarray]:
+    """The uniforms of ``sample_batch(seed, degree, n, real_only)``, in
+    consecutive blocks of at most ``BLOCK_ROWS`` columns (products).
 
-    Each batch continues the one ``random.Random(seed)`` stream where the
-    previous one stopped, so the rows are the rows of the single batch.
+    Each block continues the one ``random.Random(seed)`` stream where the
+    previous one stopped, so the columns are the columns of the single batch.
     """
     rng = random.Random(seed)
     for start in range(0, n, BLOCK_ROWS):
         rows = min(BLOCK_ROWS, n - start)
-        data = rng.randbytes(8 * rows * _draws(degree, real_only))
-        yield _batch_from_bytes(data, degree, real_only)
+        yield _uniforms(rng.randbytes(8 * rows * _draws(degree, real_only)), degree, real_only)
 
 
 def sample_blocks(
@@ -274,13 +279,14 @@ def sample_blocks(
     Sample i has degree 1 + i % max_degree and is row i // max_degree of
     that degree's stream, seeded by mixing ``seed`` with the degree, so
     distinct seeds draw distinct streams.  Each stream comes from
-    :func:`_stream_batches`, in batches of at most ``BLOCK_ROWS`` rows.
+    :func:`_stream_uniforms`, in batches of at most ``BLOCK_ROWS`` rows.
     """
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
     for degree in range(1, min(max_degree, n) + 1):
         count = len(range(degree - 1, n, max_degree))
-        yield from _stream_batches(_derive_seed(seed, degree), degree, count, real_only)
+        for u in _stream_uniforms(_derive_seed(seed, degree), degree, count, real_only):
+            yield _batch(u, real_only)
 
 
 def carlson_check(c: SchwarzTriple) -> tuple[float, float, float]:

@@ -4,16 +4,18 @@ Schur's algorithm gives the body of Schwarz triples exactly from (a, b, eta)
 with |a|, |b| < 1 and |eta| <= 1 (:func:`gamma3lab.schwarz.schur_triple`).
 The closed form is affine in eta: scale * gamma_3 = P(a, b) + w3 (1 - |a|^2)
 (1 - |b|^2) eta with w3 > 0, so eta = P/|P| (1 where P = 0) maximizes
-|gamma_3|, and the search runs over (a, b) alone.
+|gamma_3|, to (|P| + w3 (1 - |a|^2)(1 - |b|^2)) / scale, and the search
+runs over (a, b) alone.
 
 The budget splits 70/30 between global sampling and refinement.  The
 global phase evaluates (a, b), area-uniform on the bidisk (uniform on
-(-1, 1)^2 when real-only), in numpy batches of bounded size, all drawn
-from one stream seeded by fixed integer mixing of the master seed, so
-distinct seeds share no stream and a run is deterministic.  The ten best
-points are refined by moving a or b by +-step (and +-i step unless
-real-only), keeping the best move of a round and halving the step after
-a round without progress.  The best point becomes one witness
+(-1, 1)^2 when real-only): the zeros of degree-3 sample batches of bounded
+size, their rotations left undecoded, all drawn from one stream seeded by
+fixed integer mixing of the master seed, so distinct seeds share no stream
+and a run is deterministic.  The ten best points are refined in lockstep
+by moving a or b by +-step (and +-i step unless real-only), keeping each
+one's best move of a round and halving its step after a round without
+progress.  The best point becomes one witness
 (:func:`gamma3lab.schwarz.schur_witness`), a degree-3 product whose zeros
 are real or a conjugate pair in real-only searches.  Its recurrence value
 is reported, and its series value must match the Schur value.  The proved
@@ -38,7 +40,8 @@ from .schwarz import (
     BlaschkeProduct,
     SchwarzTriple,
     _derive_seed,
-    _stream_batches,
+    _stream_uniforms,
+    _zeros,
     schur_triple,
     schur_witness,
     taylor_of_blaschke,
@@ -114,11 +117,10 @@ def _proved_bound(family: Family) -> float:
 
 
 def _schur_value(family: Family, a, b):
-    """(|gamma_3|, eta) at the best eta for Schur parameters a, b (scalars or arrays)."""
+    """|gamma_3| at the best eta for Schur parameters a, b (scalars or arrays)."""
     p = gamma3_closed_form(family, schur_triple(a, b, 0.0))
-    p = p + (p == 0)  # eta = 1 where P = 0
-    eta = p / abs(p)
-    return abs(gamma3_closed_form(family, schur_triple(a, b, eta))), eta
+    ka, kb = 1.0 - (a * a.conjugate()).real, 1.0 - (b * b.conjugate()).real
+    return abs(p) + family.gamma3_weights[3] * ka * kb / family.scale
 
 
 def _top_candidates(values: np.ndarray) -> np.ndarray:
@@ -129,31 +131,35 @@ def _top_candidates(values: np.ndarray) -> np.ndarray:
     return tied_or_above[np.argsort(-values[tied_or_above], kind="stable")][:k]
 
 
-def _refine(
-    family: Family, a: complex, b: complex, value: float, budget: int, real_only: bool
-) -> tuple[complex, complex, float, int]:
-    """Coordinate search from (a, b); returns (a, b, value, evaluations used)."""
-    directions = (1, -1) if real_only else (1, -1, 1j, -1j)
-    step = _INITIAL_STEP
-    used = 0
+def _refine(family: Family, a, b, values, budget: int, real_only: bool):
+    """Coordinate search from every (a[i], b[i]) at once, one evaluation per round.
+
+    A row skips moves that leave the bidisk, evaluates no more than is left of
+    its budget and takes its first best move.  Returns (a, b, value, used).
+    """
+    directions = np.array([1, -1] if real_only else [1, -1, 1j, -1j])
+    m = len(directions)
+    step = np.full(len(a), _INITIAL_STEP)
+    used = np.zeros(len(a), dtype=int)
     for _ in range(_REFINE_ROUNDS):
-        if used >= budget or step < 1e-12:
+        live = (used < budget) & (step >= 1e-12)
+        if not live.any():
             break
-        moves = [(a + d * step, b) for d in directions] + [(a, b + d * step) for d in directions]
-        improved = False
-        for ma, mb in moves:
-            if used >= budget:
-                break
-            if max(abs(ma), abs(mb)) >= 1.0 - 1e-9:
-                continue
-            v, _ = _schur_value(family, ma, mb)
-            used += 1
-            if v > value:
-                a, b, value = ma, mb, v
-                improved = True
-        if not improved:
-            step *= 0.5
-    return a, b, value, used
+        shift = step[:, None] * directions
+        ma = np.concatenate([a[:, None] + shift, np.repeat(a[:, None], m, 1)], axis=1)
+        mb = np.concatenate([np.repeat(b[:, None], m, 1), b[:, None] + shift], axis=1)
+        valid = np.maximum(abs(ma), abs(mb)) < 1.0 - 1e-9
+        tried = valid & live[:, None] & (valid.cumsum(axis=1) <= (budget - used)[:, None])
+        v = np.full(ma.shape, -np.inf)
+        v[tried] = _schur_value(family, ma[tried], mb[tried])
+        used += tried.sum(axis=1)
+        rows, best = np.arange(len(a)), v.argmax(axis=1)
+        better = v[rows, best] > values
+        a = np.where(better, ma[rows, best], a)
+        b = np.where(better, mb[rows, best], b)
+        values = np.where(better, v[rows, best], values)
+        step = np.where(better, step, 0.5 * step)
+    return a, b, values, used
 
 
 def search_lower_bound(
@@ -172,35 +178,33 @@ def search_lower_bound(
         raise ValueError("iterations must be >= 1")
     upper_bound = _proved_bound(family)
     n_global = max(1, round(_GLOBAL_FRACTION * iterations))
-    # the two free zeros of a degree-3 batch have the law wanted for (a, b);
-    # a batch's best survive in index order, and their best are the overall best
+    # the zeros of a degree-3 batch, without its rotation, have the law wanted
+    # for (a, b); a block's best survive in index order, and their best are the overall best
     survivors = []
-    for batch in _stream_batches(_derive_seed(seed, 3), 3, n_global, real_only):
-        a, b = batch.zeros
-        values, _ = _schur_value(family, a, b)
+    for u in _stream_uniforms(_derive_seed(seed, 3), 3, n_global, real_only):
+        a, b = _zeros(u[:-1], real_only)
+        values = _schur_value(family, a, b)
         keep = np.sort(_top_candidates(values))
         survivors.append((values[keep], a[keep], b[keep]))
     values, a, b = (np.concatenate(arrays) for arrays in zip(*survivors))
     top = _top_candidates(values)
-    best_value, best_a, best_b = float(values[top[0]]), complex(a[top[0]]), complex(b[top[0]])
+    a, b, values = a[top], b[top], values[top]
 
     budget = iterations - n_global
     if budget > 0:
+        # candidate i may spend min(per_candidate, what earlier ones left): all of it while
+        # anything is left, as len(top) * per_candidate <= budget unless it is 1, then none
         per_candidate = max(1, budget // len(top))
-        remaining = budget
-        for j in top:
-            if remaining <= 0:
-                break
-            ra, rb, rv, used = _refine(
-                family, complex(a[j]), complex(b[j]), float(values[j]),
-                min(per_candidate, remaining), real_only,
-            )
-            remaining -= used
-            if rv > best_value:
-                best_value, best_a, best_b = rv, ra, rb
+        ra, rb, rv, used = _refine(family, a, b, values, per_candidate, real_only)
+        refined = np.cumsum(used) - used < budget
+        a, b = np.where(refined, ra, a), np.where(refined, rb, b)
+        values = np.where(refined, rv, values)
+    best = int(np.argmax(values))  # the first candidate, in top order, with the best value
+    best_value, best_a, best_b = float(values[best]), complex(a[best]), complex(b[best])
 
-    _, eta = _schur_value(family, best_a, best_b)
-    witness = schur_witness(best_a, best_b, eta)
+    p = gamma3_closed_form(family, schur_triple(best_a, best_b, 0.0))
+    p = p + (p == 0)  # eta = 1 where P = 0
+    witness = schur_witness(best_a, best_b, p / abs(p))
     w = taylor_of_blaschke(witness, 3)
     series = abs(gamma3_closed_form(family, SchwarzTriple(*w.coeffs[1:])))
     # a search value may exceed the proved bound by this much, so the witness may not drift further

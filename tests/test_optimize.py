@@ -16,9 +16,9 @@ from gamma3lab import (
     hessian_xy,
     interior_critical_points,
     is_negative_definite,
-    lattice,
     value_xy,
 )
+from gamma3lab import cli
 from gamma3lab import optimize as optimize_module
 from gamma3lab.optimize import (
     GRID_STEP,
@@ -202,11 +202,32 @@ def _column_loop(step):
     return points
 
 
+def lattice(step):
+    """The points (x, y) of :func:`_lattice_columns`, flattened with masks."""
+    x, ticks, counts, top = _lattice_columns(step)
+    ys = np.empty((len(x), len(ticks) + 1))
+    ys[:, :-1] = ticks
+    ys[:, -1] = top
+    keep = np.ones(ys.shape, dtype=bool)
+    keep[:, :-1] = np.arange(len(ticks)) < counts[:, None]
+    return np.broadcast_to(x[:, None], ys.shape)[keep], ys[keep]
+
+
 class TestLattice:
     @pytest.mark.parametrize("step", [0.1, 0.05, 0.03, 0.01, 0.007, 0.0013, 0.001])
     def test_matches_the_column_loop(self, step):
         xs, ys = lattice(step)
         assert list(zip(xs.tolist(), ys.tolist())) == _column_loop(step)
+
+    @pytest.mark.parametrize("step", [0.1, 0.007])
+    def test_csv_dump_walks_the_lattice(self, capsys, step):
+        assert cli.main(["bound", "f3", "--format", "csv", "--grid-step", str(step)]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        fmt = "{:.12g}".format
+        assert rows[0] == "x,y,value"
+        assert rows[1:] == [
+            f"{fmt(x)},{fmt(y)},{fmt(value_xy(F3, x, y))}" for x, y in _column_loop(step)
+        ]
 
 
 def _sweep_points():

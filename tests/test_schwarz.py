@@ -29,7 +29,7 @@ from gamma3lab import (
     triple_of_blaschke,
 )
 from gamma3lab import schwarz
-from gamma3lab.schwarz import _batch_from_bytes, _derive_seed
+from gamma3lab.schwarz import _batch, _derive_seed, _uniforms
 
 from conftest import disk_complex
 
@@ -184,7 +184,7 @@ class TestSampleBatch:
     def test_real_only_all_zero_bytes_stay_inside_the_disk(self):
         # u = 0 gives a = -1, which the guard sends to 0
         n, degree = 8, 5
-        batch = _batch_from_bytes(bytes(8 * n * degree), degree, real_only=True)
+        batch = _batch(_uniforms(bytes(8 * n * degree), degree, True), real_only=True)
         assert len(batch) == n and batch.degree == degree
         assert all((abs(a) < 1.0).all() for a in batch.zeros)
         assert all((a == 0).all() for a in batch.zeros)

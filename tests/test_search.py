@@ -8,6 +8,7 @@ import pytest
 from gamma3lab import (
     F1,
     F2,
+    F3,
     SchwarzTriple,
     SearchResult,
     VerificationFailed,
@@ -22,7 +23,32 @@ from gamma3lab import (
 )
 from gamma3lab import schwarz
 from gamma3lab.schwarz import _derive_seed
-from gamma3lab.search import REMARK_VALUES, _refine
+from gamma3lab.search import REMARK_VALUES, _refine, _schur_value
+
+
+def _reference_refine(family, a, b, value, budget, real_only):
+    """The coordinate search of one candidate, one scalar evaluation at a time."""
+    directions = (1, -1) if real_only else (1, -1, 1j, -1j)
+    step = search._INITIAL_STEP
+    used = 0
+    for _ in range(search._REFINE_ROUNDS):
+        if used >= budget or step < 1e-12:
+            break
+        moves = [(a + d * step, b) for d in directions] + [(a, b + d * step) for d in directions]
+        improved = False
+        for ma, mb in moves:
+            if used >= budget:
+                break
+            if max(abs(ma), abs(mb)) >= 1.0 - 1e-9:
+                continue
+            v = _schur_value(family, ma, mb)
+            used += 1
+            if v > value:
+                a, b, value = ma, mb, v
+                improved = True
+        if not improved:
+            step *= 0.5
+    return a, b, value, used
 
 
 def _best_over_eta(family, a, b):
@@ -127,16 +153,117 @@ class TestSearchLowerBound:
     def test_refine_is_monotone(self):
         for real_only in (False, True):
             a, b = sample_batch(4, 3, 20, real_only).zeros
-            for j in range(20):
-                start = _best_over_eta(F1, a[j], b[j])
-                for budget in (10, 50, 200):
-                    ra, rb, refined, used = _refine(
-                        F1, complex(a[j]), complex(b[j]), start, budget, real_only
+            start = _best_over_eta(F1, a, b)
+            for budget in (10, 50, 200):
+                ra, rb, refined, used = _refine(F1, a, b, start, budget, real_only)
+                assert (refined >= start).all() and (used <= budget).all()
+                assert (abs(ra) < 1 - 1e-9).all() and (abs(rb) < 1 - 1e-9).all()
+                if real_only:
+                    assert (ra.imag == 0).all() and (rb.imag == 0).all()
+
+    def test_lockstep_refine_matches_the_scalar_reference(self):
+        # besides the samples: F2's tie between a = +-step at the origin, and
+        # starts whose moves cross |a|, |b| < 1 - 1e-9
+        edge_a = np.array([0, 0.9999999, 1 - 1.5e-9, 0.3]) + 0j
+        edge_b = np.array([0, 0, 0, -0.99999995]) + 0j
+        worst = 0.0
+        for family in (F1, F2, F3):
+            for real_only in (False, True):
+                a, b = sample_batch(4, 3, 20, real_only).zeros
+                a, b = np.concatenate([a, edge_a]), np.concatenate([b, edge_b])
+                start = _schur_value(family, a, b)
+                for budget in (1, 3, 10, 50, 200, 3000):
+                    batched = _refine(family, a, b, start, budget, real_only)
+                    for j, (ra, rb, rv, used) in enumerate(zip(*batched)):
+                        ref = _reference_refine(
+                            family, complex(a[j]), complex(b[j]), float(start[j]),
+                            budget, real_only,
+                        )
+                        assert used == ref[3]
+                        worst = max(worst, abs(ra - ref[0]), abs(rb - ref[1]), abs(rv - ref[2]))
+        assert worst <= 1e-15
+
+    def test_candidates_share_the_budget_in_top_order(self, monkeypatch):
+        # below ten evaluations per candidate, only the first ones refine
+        seen = {}
+        lockstep, witness = search._refine, search.schur_witness
+
+        def spy_refine(family, a, b, values, budget, real_only):
+            seen["start"] = (a, b, values, budget)
+            return lockstep(family, a, b, values, budget, real_only)
+
+        def spy_witness(a, b, eta):
+            seen["best"] = (a, b)
+            return witness(a, b, eta)
+
+        monkeypatch.setattr(search, "_refine", spy_refine)
+        monkeypatch.setattr(search, "schur_witness", spy_witness)
+        for iterations in (4, 10, 13, 20, 400):
+            for seed in range(1, 13):
+                search_lower_bound(F1, iterations, seed)
+                a, b, values, per_candidate = seen["start"]
+                remaining = iterations - round(0.7 * iterations)
+                best = (values[0], a[0], b[0])
+                for j in range(len(a)):
+                    if remaining <= 0:
+                        break
+                    ra, rb, rv, used = _reference_refine(
+                        F1, complex(a[j]), complex(b[j]), float(values[j]),
+                        min(per_candidate, remaining), False,
                     )
-                    assert refined >= start and used <= budget
-                    assert abs(ra) < 1 - 1e-9 and abs(rb) < 1 - 1e-9
-                    if real_only:
-                        assert ra.imag == 0 and rb.imag == 0
+                    remaining -= used
+                    if rv > best[0]:
+                        best = (rv, ra, rb)
+                assert abs(seen["best"][0] - best[1]) <= 1e-15
+                assert abs(seen["best"][1] - best[2]) <= 1e-15
+
+    def test_ties_go_to_the_first_candidate_in_top_order(self, monkeypatch):
+        def tied(family, a, b, values, budget, real_only):
+            return a, b, np.full(len(a), values.max()), np.zeros(len(a), dtype=int)
+
+        monkeypatch.setattr(search, "_refine", tied)
+        r = search_lower_bound(F1, 700, seed=9)
+        a, b = sample_batch(_derive_seed(9, 3), 3, 490).zeros
+        assert r.best_value == pytest.approx(_best_over_eta(F1, a, b).max(), abs=1e-13)
+
+    def test_draws_the_zeros_of_a_degree_3_batch(self, monkeypatch):
+        # the global phase evaluates sample_batch's zeros bit for bit, however it is chunked
+        calls, exact = [], search._schur_value
+
+        def record(family, a, b):
+            calls.append((a, b))
+            return exact(family, a, b)
+
+        monkeypatch.setattr(search, "_schur_value", record)
+        for rows in (schwarz.BLOCK_ROWS, 7):
+            monkeypatch.setattr(schwarz, "BLOCK_ROWS", rows)
+            for seed in (1, 7):
+                for real_only in (False, True):
+                    calls.clear()
+                    search_lower_bound(F1, 800, seed, real_only)
+                    drawn = calls[:len(range(0, 560, rows))]  # then come the refinement's
+                    zeros = sample_batch(_derive_seed(seed, 3), 3, 560, real_only).zeros
+                    for k in (0, 1):
+                        got = np.concatenate([c[k] for c in drawn])
+                        assert got.tobytes() == zeros[k].tobytes()
+
+    def test_one_pass_value_is_the_value_at_the_best_eta(self):
+        # the closed form rounds at the scale of its summands, all below 1/2 in modulus
+        for family in (F1, F2, F3):
+            for real_only in (False, True):
+                a, b = sample_batch(12, 3, 10**4, real_only).zeros
+                p = gamma3_closed_form(family, schur_triple(a, b, 0.0))
+                at_eta = abs(gamma3_closed_form(family, schur_triple(a, b, p / abs(p))))
+                assert (abs(_schur_value(family, a, b) - at_eta) <= 4 * np.spacing(0.5)).all()
+
+    def test_witness_rotation_is_one_where_p_vanishes(self, monkeypatch):
+        # a = 0, b = 1/2 gives P = 0 for F2, and |gamma_3| = w3 (1 - 1/4) / 12
+        assert gamma3_closed_form(F2, schur_triple(0j, 0.5 + 0j, 0.0)) == 0
+        u = np.array([[0.0], [0.0], [0.25], [0.0], [0.5]])
+        monkeypatch.setattr(search, "_stream_uniforms", lambda *args: iter([u]))
+        r = search_lower_bound(F2, iterations=1)
+        assert r.witness.rotation == 1
+        assert r.best_value == pytest.approx(0.1875, abs=1e-15)
 
     def test_chunked_draw_gives_the_unchunked_results(self, monkeypatch):
         runs = [(f, real_only, seed) for f in (F1, F2) for real_only in (False, True) for seed in (1, 7)]
