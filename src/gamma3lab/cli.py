@@ -100,11 +100,15 @@ def _cmd_bound(cfg: RunConfig) -> int:
         print("x,y,value")
         columns = optimize._lattice_columns(cfg.grid_step)
         xs, ticks, counts, tops = (a.tolist() for a in columns)
+        tick_text = [_fmt(y) for y in ticks]
         # column by column, one value at a time: numpy's x ** 3 can differ
         # from Python's in the last bit
         for x, k, top in zip(xs, counts, tops):
-            for y in ticks[:k] + [top]:
-                print(f"{_fmt(x)},{_fmt(y)},{_fmt(value_xy(cfg.family, x, y))}")
+            head = f"{_fmt(x)},"
+            rows = [f"{head}{t},{_fmt(value_xy(cfg.family, x, y))}\n"
+                    for y, t in zip(ticks[:k], tick_text)]
+            rows.append(f"{head}{_fmt(top)},{_fmt(value_xy(cfg.family, x, top))}\n")
+            sys.stdout.write("".join(rows))
     else:
         print(f"family {report.family.tag}")
         for p, v in report.interior_points:

@@ -221,10 +221,23 @@ def _zeros(u: np.ndarray, real_only: bool) -> tuple[np.ndarray, ...]:
     return tuple(np.sqrt(u[::2]) * np.exp(2j * np.pi * u[1::2]))
 
 
+def _radii(u: np.ndarray, real_only: bool) -> np.ndarray:
+    """The moduli of the zeros that :func:`_zeros` draws from ``u``, one row
+    per zero, without decoding the angles."""
+    if real_only:
+        r = abs(2.0 * u - 1.0)
+        return np.where(r < 1.0, r, 0.0)
+    return np.sqrt(u[::2])
+
+
+def _rotation(u: np.ndarray, real_only: bool) -> np.ndarray:
+    """Rotations from a row of uniforms: +-1 when real, else uniform on the circle."""
+    return np.where(u < 0.5, 1.0, -1.0) + 0j if real_only else np.exp(2j * np.pi * u)
+
+
 def _batch(u: np.ndarray, real_only: bool) -> BlaschkeBatch:
     """The products drawn by the columns of ``u``."""
-    rotation = np.where(u[-1] < 0.5, 1.0, -1.0) + 0j if real_only else np.exp(2j * np.pi * u[-1])
-    return BlaschkeBatch(_zeros(u[:-1], real_only), rotation)
+    return BlaschkeBatch(_zeros(u[:-1], real_only), _rotation(u[-1], real_only))
 
 
 def sample_batch(seed: int, degree: int, n: int, real_only: bool = False) -> BlaschkeBatch:
@@ -243,8 +256,13 @@ def sample_batch(seed: int, degree: int, n: int, real_only: bool = False) -> Bla
 
 
 def sample_schwarz(seed: int, degree: int, real_only: bool = False) -> BlaschkeProduct:
-    """Deterministic random Blaschke product: row 0 of :func:`sample_batch`."""
-    return sample_batch(seed, degree, 1, real_only).product(0)
+    """Deterministic random Blaschke product: row 0 of :func:`sample_batch`,
+    decoded from that row's uniforms alone, with no batch to build or validate."""
+    if degree < 1:
+        raise ValueError("degree must be >= 1")
+    data = random.Random(seed).randbytes(8 * _draws(degree, real_only))
+    u = _uniforms(data, degree, real_only)[:, 0]
+    return BlaschkeProduct(_zeros(u[:-1], real_only), _rotation(u[-1], real_only))
 
 
 def _derive_seed(master: int, index: int) -> int:

@@ -12,12 +12,18 @@ global phase evaluates (a, b), area-uniform on the bidisk (uniform on
 (-1, 1)^2 when real-only): the zeros of degree-3 sample batches of bounded
 size, their rotations left undecoded, all drawn from one stream seeded by
 fixed integer mixing of the master seed, so distinct seeds share no stream
-and a run is deterministic.  The ten best points are refined in lockstep
-by moving a or b by +-step (and +-i step unless real-only), keeping each
-one's best move of a round and halving its step after a round without
-progress.  The best point becomes one witness
-(:func:`gamma3lab.schwarz.schur_witness`), a degree-3 product whose zeros
-are real or a conjugate pair in real-only searches.  Its recurrence value
+and a run is deterministic.  With c1 = a and c2 = (1 - |a|^2) b, the
+objective of :mod:`gamma3lab.objective` at (|a|, (1 - |a|^2)|b|) bounds
+the value at the best eta from above and needs only the radii, so a point
+is evaluated only if that majorant reaches the tenth-best value kept so
+far; while fewer than ten are kept, a block seeds that floor with the
+exact values at its ten largest majorants.  No point of the overall top
+ten is skipped, so the ten best are those of evaluating every point.
+They are refined in lockstep by moving a or b by +-step (and +-i step
+unless real-only), keeping each one's best move of a round and halving
+its step after a round without progress.  The best point becomes one
+witness (:func:`gamma3lab.schwarz.schur_witness`), a degree-3 product
+whose zeros are real or a conjugate pair in real-only searches.  Its recurrence value
 is reported, and its series value must match the Schur value.  The proved
 bound is certified once per family per process.
 
@@ -35,11 +41,13 @@ import numpy as np
 
 from .config import TOL, VerificationFailed
 from .families import Family, gamma3_closed_form
+from .objective import value_xy
 from .optimize import global_bound
 from .schwarz import (
     BlaschkeProduct,
     SchwarzTriple,
     _derive_seed,
+    _radii,
     _stream_uniforms,
     _zeros,
     schur_triple,
@@ -123,6 +131,24 @@ def _schur_value(family: Family, a, b):
     return abs(p) + family.gamma3_weights[3] * ka * kb / family.scale
 
 
+def _majorant(family: Family, u: np.ndarray, real_only: bool) -> np.ndarray:
+    """Upper bounds on :func:`_schur_value` at the zeros (a, b) drawn from ``u``.
+
+    The objective at x = |a|, y = |c2| = (1 - |a|^2)|b| is the triangle
+    inequality applied to scale * |P|, and its w3 term equals the eta term
+    w3 (1 - |a|^2)(1 - |b|^2) plus w3 (1 - |a|^2)|a||b|^2, the modulus of
+    P's; ``TOL.tie_break`` covers rounding.  Only the radii are decoded.
+    """
+    x, r = _radii(u, real_only)
+    return value_xy(family, x, (1.0 - x * x) * r) / family.scale + TOL.tie_break
+
+
+def _floor(values: np.ndarray) -> float:
+    """The tenth largest value, which a top-ten point must reach; -inf while fewer exist."""
+    k = len(values) - _TOP_CANDIDATES
+    return np.partition(values, k)[k] if k >= 0 else -np.inf
+
+
 def _top_candidates(values: np.ndarray) -> np.ndarray:
     """Indices of the largest values, ordered by (-value, index)."""
     k = min(_TOP_CANDIDATES, len(values))
@@ -178,14 +204,24 @@ def search_lower_bound(
         raise ValueError("iterations must be >= 1")
     upper_bound = _proved_bound(family)
     n_global = max(1, round(_GLOBAL_FRACTION * iterations))
-    # the zeros of a degree-3 batch, without its rotation, have the law wanted
-    # for (a, b); a block's best survive in index order, and their best are the overall best
-    survivors = []
+    # the zeros of a degree-3 batch, without its rotation, have the law wanted for (a, b);
+    # only rows whose majorant reaches the running tenth-best value are evaluated, a block's
+    # best of them survive in index order, and their best are the overall best
+    survivors, kept = [], np.empty(0)
     for u in _stream_uniforms(_derive_seed(seed, 3), 3, n_global, real_only):
-        a, b = _zeros(u[:-1], real_only)
-        values = _schur_value(family, a, b)
-        keep = np.sort(_top_candidates(values))
-        survivors.append((values[keep], a[keep], b[keep]))
+        u = u[:-1]  # the zeros' rows, without the rotation's
+        bound = _majorant(family, u, real_only)
+        floor = _floor(kept)
+        if floor == -np.inf:  # the exact values at the block's largest majorants give one
+            first = _schur_value(family, *_zeros(u[:, _top_candidates(bound)], real_only))
+            floor = _floor(np.concatenate([kept, first]))
+        rows = np.flatnonzero(bound >= floor)
+        if len(rows):
+            a, b = _zeros(u[:, rows], real_only)
+            values = _schur_value(family, a, b)
+            keep = np.sort(_top_candidates(values))
+            survivors.append((values[keep], a[keep], b[keep]))
+            kept = np.concatenate([kept, values[keep]])
     values, a, b = (np.concatenate(arrays) for arrays in zip(*survivors))
     top = _top_candidates(values)
     a, b, values = a[top], b[top], values[top]

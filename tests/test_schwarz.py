@@ -162,6 +162,13 @@ class TestSampleSchwarz:
                 batch = sample_batch(31, degree, 40, real_only)
                 assert sample_schwarz(31, degree, real_only) == batch.product(0)
 
+    def test_is_the_one_row_batch(self):
+        for real_only in (False, True):
+            for degree in range(1, 7):
+                for seed in range(21):
+                    one = sample_batch(seed, degree, 1, real_only).product(0)
+                    assert sample_schwarz(seed, degree, real_only) == one
+
     def test_samples_pass_carlson(self):
         for seed in range(500):
             b = sample_schwarz(seed, 1 + seed % 6)

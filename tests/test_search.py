@@ -1,3 +1,4 @@
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -22,6 +23,7 @@ from gamma3lab import (
     triple_of_blaschke,
 )
 from gamma3lab import schwarz
+from gamma3lab.objective import value_xy
 from gamma3lab.schwarz import _derive_seed
 from gamma3lab.search import REMARK_VALUES, _refine, _schur_value
 
@@ -227,25 +229,64 @@ class TestSearchLowerBound:
         assert r.best_value == pytest.approx(_best_over_eta(F1, a, b).max(), abs=1e-13)
 
     def test_draws_the_zeros_of_a_degree_3_batch(self, monkeypatch):
-        # the global phase evaluates sample_batch's zeros bit for bit, however it is chunked
-        calls, exact = [], search._schur_value
+        # the global phase evaluates rows of sample_batch's zeros bit for bit, however it is
+        # chunked, and its pruning keeps the top ten of evaluating every row
+        calls, top, exact, lockstep = [], {}, search._schur_value, search._refine
 
         def record(family, a, b):
-            calls.append((a, b))
+            if not top:  # the refinement's evaluations follow the global phase's
+                calls.append((a, b))
             return exact(family, a, b)
 
+        def record_top(family, a, b, values, budget, real_only):
+            top.update(a=a, b=b, values=values)
+            return lockstep(family, a, b, values, budget, real_only)
+
+        def row_bytes(a, b):
+            return {row.tobytes() for row in np.stack([a, b], axis=1)}
+
         monkeypatch.setattr(search, "_schur_value", record)
+        monkeypatch.setattr(search, "_refine", record_top)
         for rows in (schwarz.BLOCK_ROWS, 7):
             monkeypatch.setattr(schwarz, "BLOCK_ROWS", rows)
-            for seed in (1, 7):
-                for real_only in (False, True):
-                    calls.clear()
-                    search_lower_bound(F1, 800, seed, real_only)
-                    drawn = calls[:len(range(0, 560, rows))]  # then come the refinement's
-                    zeros = sample_batch(_derive_seed(seed, 3), 3, 560, real_only).zeros
-                    for k in (0, 1):
-                        got = np.concatenate([c[k] for c in drawn])
-                        assert got.tobytes() == zeros[k].tobytes()
+            for family in (F1, F2):
+                for seed in (1, 7):
+                    for real_only in (False, True):
+                        calls.clear()
+                        top.clear()
+                        search_lower_bound(family, 800, seed, real_only)
+                        a, b = sample_batch(_derive_seed(seed, 3), 3, 560, real_only).zeros
+                        drawn = row_bytes(a, b)
+                        assert calls and all(row_bytes(*c) <= drawn for c in calls)
+                        values = exact(family, a, b)
+                        best = search._top_candidates(values)
+                        assert top["values"].tobytes() == values[best].tobytes()
+                        assert top["a"].tobytes() == a[best].tobytes()
+                        assert top["b"].tobytes() == b[best].tobytes()
+
+    def test_majorant_bounds_the_value_at_the_best_eta(self):
+        # the objective at (|c1|, |c2|) bounds the Schur value, also at the edges of the bidisk
+        edge = np.array([0, 0.3, 1 - 1e-9, 1 - 1e-9, 0, (1 - 1e-9) * 1j])
+        for family in (F1, F2, F3):
+            for real_only in (False, True):
+                a, b = sample_batch(12, 3, 10**4, real_only).zeros
+                a = np.concatenate([a, edge + 0j])
+                b = np.concatenate([b, np.roll(edge, 2) + 0j])
+                if real_only:
+                    a, b = a.real + 0j, b.real + 0j
+                x, r = abs(a), abs(b)
+                majorant = value_xy(family, x, (1 - x * x) * r) / family.scale
+                assert (majorant >= _schur_value(family, a, b) - 4 * np.spacing(0.5)).all()
+
+    def test_majorant_of_the_uniforms_bounds_every_drawn_value(self):
+        for real_only in (False, True):
+            u = schwarz._uniforms(random.Random(3).randbytes(8 * 15 * 1000), 3, real_only)[:-1]
+            u[:, 0] = 0.0  # a = b = 0, or a real draw of -1 that the draw maps to 0
+            moduli = abs(np.array(schwarz._zeros(u, real_only)))
+            assert (abs(schwarz._radii(u, real_only) - moduli) <= np.spacing(1.0)).all()
+            for family in (F1, F2, F3):
+                values = _schur_value(family, *schwarz._zeros(u, real_only))
+                assert (search._majorant(family, u, real_only) >= values).all()
 
     def test_one_pass_value_is_the_value_at_the_best_eta(self):
         # the closed form rounds at the scale of its summands, all below 1/2 in modulus
@@ -266,11 +307,16 @@ class TestSearchLowerBound:
         assert r.best_value == pytest.approx(0.1875, abs=1e-15)
 
     def test_chunked_draw_gives_the_unchunked_results(self, monkeypatch):
-        runs = [(f, real_only, seed) for f in (F1, F2) for real_only in (False, True) for seed in (1, 7)]
-        whole = [search_lower_bound(f, 800, seed, ro) for f, ro, seed in runs]
+        # budgets 1 and 2 draw one global sample and 14 draws ten, so none is left out of the top ten
+        runs = [
+            (f, real_only, seed, iterations)
+            for f in (F1, F2) for real_only in (False, True) for seed in (1, 7)
+            for iterations in (800, 1, 2, 14)
+        ]
+        whole = [search_lower_bound(f, it, seed, ro) for f, ro, seed, it in runs]
         monkeypatch.setattr(schwarz, "BLOCK_ROWS", 7)  # 560 global samples in 80 batches
-        for (f, ro, seed), r in zip(runs, whole):
-            chunked = search_lower_bound(f, 800, seed, ro)
+        for (f, ro, seed, it), r in zip(runs, whole):
+            chunked = search_lower_bound(f, it, seed, ro)
             assert chunked.best_value == r.best_value and chunked.witness == r.witness
 
     def test_a_large_search_stays_small_in_memory(self):
