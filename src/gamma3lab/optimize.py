@@ -16,7 +16,14 @@ some formula was transcribed wrong and :class:`CertificationMismatch` is
 raised.  The lattice is described once, by columns (x, shared y ticks,
 ticks below each column's top, top points); the csv dump walks it point
 by point, and the sweep evaluates it in blocks of adjacent columns, whose
-temporaries stay in cache, with the same arithmetic per point.
+temporaries stay in cache, with the same arithmetic per point.  The
+objective is a quadratic in y whose coefficients depend on x alone, so a
+block computes them once per column and each point costs four array
+operations.  Since columns only get shorter, a block's ticks below its
+shortest column form a rectangle that reduces without a mask; only the
+ragged tail above it is masked.  Each edge maximum must also be the
+objective's value at its own point, which catches a restriction
+transcribed too high or too low.
 """
 
 from __future__ import annotations
@@ -46,7 +53,11 @@ class UnknownEdge(ValueError):
 
 
 class CertificationMismatch(VerificationFailed):
-    """Dense-grid sweep exceeded the analytic maximum; formula bug likely."""
+    """The analytic maximum disagrees with the objective; formula bug likely.
+
+    Either the dense-grid sweep exceeded it, or an edge maximum is not the
+    objective's value at its own point.
+    """
 
 
 @dataclass(frozen=True)
@@ -67,6 +78,18 @@ class BoundReport:
                 f"dense grid reached {self.grid_max!r} > analytic maximum "
                 f"{self.global_max!r}; a formula was likely transcribed wrong"
             )
+        # a wrong edge restriction passes the grid check if it reads too high,
+        # or too low under the interior maximum; so each edge maximum must be
+        # the objective's value at its own point
+        points = np.array([_edge_point(e, t) for e, t, _ in self.edge_maxima])
+        values = value_xy(self.family, *points.reshape(-1, 2).T)
+        for (edge, t, v), value in zip(self.edge_maxima, values):
+            if abs(value - v) > TOL.certification:
+                raise CertificationMismatch(
+                    f"{edge} edge maximum {v!r} at {t!r} differs from the objective's "
+                    f"value {float(value)!r} there; its restriction was likely "
+                    "transcribed wrong"
+                )
 
     @property
     def global_max(self) -> float:
@@ -128,6 +151,11 @@ def _edge_polynomial(family: Family, edge: str) -> tuple[float, ...]:
     if edge == "top":
         return (w0 + w2, w1 + w3 + w12, -w2, w111 - w3 - w12)
     raise UnknownEdge(f"unknown edge {edge!r}; expected one of {EDGES}")
+
+
+def _edge_point(edge: str, t: float) -> tuple[float, float]:
+    """The point (x, y) of an edge at the parameter of :func:`_edge_polynomial`."""
+    return {"bottom": (t, 0.0), "left": (0.0, t), "top": (t, 1.0 - t * t)}[edge]
 
 
 def _maximize_on_unit_interval(coeffs: tuple[float, ...]) -> tuple[float, float]:
@@ -195,16 +223,20 @@ def _dense_grid_max(family: Family) -> float:
     """Maximum of the objective over the lattice of step ``GRID_STEP``.
 
     The top points take one call; the points below them are swept in blocks
-    of ``_SWEEP_COLUMNS`` columns, where broadcasting computes the terms in x
-    once per column, and each column's ragged tail is masked out.
+    of ``_SWEEP_COLUMNS`` columns, where broadcasting computes the objective's
+    coefficients in y once per column.  Counts never increase, so every
+    column of a block holds the ticks below its last (shortest) column's
+    count: that rectangle reduces with a plain maximum, and only the ragged
+    tail up to the first (tallest) column's count is masked.
     """
     x, ticks, counts, top = _lattice_columns(GRID_STEP)
     best = np.max(value_xy(family, x, top))
     for i in range(0, len(x), _SWEEP_COLUMNS):
         block = counts[i:i + _SWEEP_COLUMNS, None]
-        k = int(block[0, 0])  # the block's tallest column is its first
+        k, m = int(block[0, 0]), int(block[-1, 0])  # tallest and shortest column
         v = value_xy(family, x[i:i + _SWEEP_COLUMNS, None], ticks[:k])
-        best = max(best, np.max(v, where=np.arange(k) < block, initial=-np.inf))
+        tail = np.max(v[:, m:], where=np.arange(m, k) < block, initial=-np.inf)
+        best = max(best, np.max(v[:, :m], initial=-np.inf), tail)
     return float(best)
 
 

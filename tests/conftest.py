@@ -1,8 +1,10 @@
 import math
 
+import numpy as np
 from hypothesis import strategies as st
 
 from gamma3lab import TruncatedSeries
+from gamma3lab.optimize import PUBLISHED_F3_TOP, _edge_polynomial, _lattice_columns
 
 
 def assert_series_close(a: TruncatedSeries, b: TruncatedSeries, tol: float = 1e-12):
@@ -39,3 +41,21 @@ def normalized_series(order: int = 6, radius: float = 0.8):
     return st.lists(
         bounded_complex(radius), min_size=order - 1, max_size=order - 1
     ).map(lambda cs: TruncatedSeries((0.0, 1.0) + tuple(cs)))
+
+
+def lattice(step):
+    """The points (x, y) of :func:`_lattice_columns`, flattened with masks."""
+    x, ticks, counts, top = _lattice_columns(step)
+    ys = np.empty((len(x), len(ticks) + 1))
+    ys[:, :-1] = ticks
+    ys[:, -1] = top
+    keep = np.ones(ys.shape, dtype=bool)
+    keep[:, :-1] = np.arange(len(ticks)) < counts[:, None]
+    return np.broadcast_to(x[:, None], ys.shape)[keep], ys[keep]
+
+
+def published_f3_top(family, edge, original=_edge_polynomial):
+    """Edge restrictions, with the third family's top edge as published."""
+    if (family.tag, edge) == ("F3", "top"):
+        return PUBLISHED_F3_TOP
+    return original(family, edge)

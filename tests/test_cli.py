@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,11 @@ from hypothesis import strategies as st
 
 from gamma3lab import optimize
 from gamma3lab.cli import main
+
+from conftest import published_f3_top
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(capsys, *args):
@@ -38,6 +44,14 @@ class TestBound:
         assert code == 0
         assert "gamma3 bound 0.369791666667" in out
         assert "note:" in out
+
+    @pytest.mark.parametrize("family", ["f1", "f2", "f3"])
+    @pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "json")])
+    def test_report_bytes_are_pinned(self, capsys, family, fmt, suffix):
+        # a rearranged arithmetic may not move a printed digit
+        code, out, err = run_cli(capsys, "bound", family, "--format", fmt)
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / f"bound_{family}.{suffix}").read_text(encoding="utf-8")
 
     def test_csv_grid_dump(self, capsys):
         code, out, _ = run_cli(capsys, "bound", "f1", "--format", "csv", "--grid-step", "0.1")
@@ -213,6 +227,13 @@ class TestExitStatus:
         assert code == 2
         assert out == ""
         assert "verification failed" in err
+
+    def test_the_published_top_edge_exits_two(self, capsys, monkeypatch):
+        monkeypatch.setattr(optimize, "_edge_polynomial", published_f3_top)
+        code, out, err = run_cli(capsys, "bound", "f3")
+        assert code == 2
+        assert out == ""
+        assert "top edge" in err
 
 
 def _command(head, options):

@@ -1,5 +1,8 @@
 import math
+import random
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +21,8 @@ from gamma3lab import (
     value_xy,
 )
 from gamma3lab.optimize import _edge_polynomial
+
+from conftest import lattice
 
 ALL_FAMILIES = (F1, F2, F3)
 
@@ -56,6 +61,54 @@ class TestObjectiveValue:
     @settings(max_examples=300)
     def test_third_is_first_plus_two(self, p):
         assert abs(value_xy(F3, p.x, p.y) - value_xy(F1, p.x, p.y) - 2.0) <= 1e-12
+
+
+def _expanded_value_xy(family, x, y):
+    """The objective term by term, as the objective module defines it."""
+    w0, w1, w2, w3, w12, w111 = family.gamma3_weights
+    return (
+        abs(w0)
+        + abs(w1) * x
+        + abs(w2) * y
+        + w3 * (1.0 - x * x - y * y / (1.0 + x))
+        + abs(w12) * x * y
+        + abs(w111) * x ** 3
+    )
+
+
+def _rounding(family):
+    """How far two orders of the same arithmetic may drift apart on E."""
+    return 8 * np.finfo(float).eps * sum(map(abs, family.gamma3_weights))
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.tag)
+class TestQuadraticInY:
+    def test_arrays_agree_with_the_expanded_form(self, family):
+        rng = np.random.default_rng(9)
+        x = rng.random(100_000)
+        y = rng.random(100_000) * (1.0 - x * x)
+        drift = np.abs(value_xy(family, x, y) - _expanded_value_xy(family, x, y))
+        assert drift.max() <= _rounding(family)
+
+    def test_scalars_agree_with_the_expanded_form(self, family):
+        rng = random.Random(9)
+        for _ in range(1000):
+            x = rng.random()
+            y = rng.random() * (1.0 - x * x)
+            value = value_xy(family, x, y)
+            assert type(value) is float
+            assert abs(value - _expanded_value_xy(family, x, y)) <= _rounding(family)
+
+    def test_lattice_agrees_with_the_expanded_form(self, family):
+        x, y = lattice(0.007)
+        drift = np.abs(value_xy(family, x, y) - _expanded_value_xy(family, x, y))
+        assert drift.max() <= _rounding(family)
+
+    def test_column_broadcast_is_the_pointwise_value(self, family):
+        x, y = np.linspace(0.0, 1.0, 64)[:, None], np.linspace(0.0, 1.0, 1000)
+        grid = value_xy(family, x, y)
+        assert grid.shape == (64, 1000)
+        assert (grid == value_xy(family, *np.broadcast_arrays(x, y))).all()
 
 
 class TestObjectiveGradient:

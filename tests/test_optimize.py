@@ -28,6 +28,8 @@ from gamma3lab.optimize import (
     _lattice_columns,
 )
 
+from conftest import lattice, published_f3_top
+
 X2 = (4 - math.sqrt(7)) / 6
 Y2 = (47 - 14 * math.sqrt(7)) / 108
 
@@ -181,6 +183,25 @@ class TestBoundReportInvariants:
             with pytest.raises(CertificationMismatch):
                 BoundReport(**kwargs)
 
+    def test_edge_maximum_must_be_the_objective_there(self):
+        kwargs = self._valid_kwargs()
+        edges = kwargs["edge_maxima"]
+        for i in range(len(edges)):
+            for shift in (1e-7, -1e-7, 1e-3):
+                e, t, v = edges[i]
+                kwargs["edge_maxima"] = edges[:i] + ((e, t, v + shift),) + edges[i + 1:]
+                with pytest.raises(CertificationMismatch, match=f"{e} edge"):
+                    BoundReport(**kwargs)
+            kwargs["edge_maxima"] = edges[:i] + ((e, t, v + 1e-11),) + edges[i + 1:]
+            BoundReport(**kwargs)
+
+    def test_certification_catches_the_published_top_edge(self, monkeypatch):
+        # the published cubic of F3's top edge stays below the interior
+        # maximum, so only the edge's own value can expose it
+        monkeypatch.setattr(optimize_module, "_edge_polynomial", published_f3_top)
+        with pytest.raises(CertificationMismatch, match="top edge"):
+            optimize_module.global_bound(F3)
+
     def test_certification_catches_a_lost_interior_maximum(self, monkeypatch):
         # without the interior maximum the best edge value falls 0.4 below
         # the dense sweep, and certification fires
@@ -200,17 +221,6 @@ def _column_loop(step):
         ys = [j * step for j in range(int(ymax / step) + 1) if j * step < ymax - 1e-12]
         points += [(x, y) for y in ys + [ymax]]
     return points
-
-
-def lattice(step):
-    """The points (x, y) of :func:`_lattice_columns`, flattened with masks."""
-    x, ticks, counts, top = _lattice_columns(step)
-    ys = np.empty((len(x), len(ticks) + 1))
-    ys[:, :-1] = ticks
-    ys[:, -1] = top
-    keep = np.ones(ys.shape, dtype=bool)
-    keep[:, :-1] = np.arange(len(ticks)) < counts[:, None]
-    return np.broadcast_to(x[:, None], ys.shape)[keep], ys[keep]
 
 
 class TestLattice:
@@ -236,13 +246,38 @@ def _sweep_points():
     c = optimize_module._SWEEP_COLUMNS
     last = (len(x) - 1) // c * c  # first column of the last block
     assert len(x) % c != 0 and (x[-1], top[-1]) == (1.0, 0.0)
+    short = counts[2 * c - 1]  # the second block's rectangle has this many ticks
+    assert 0 < short < counts[c]
     return {
         "first column of a block": (x[c], ticks[counts[c] - 1]),
         "last column of a block": (x[2 * c - 1], ticks[0]),
+        "last tick of a block's shortest column": (x[2 * c - 1], ticks[short - 1]),
+        "first tick above it in the tallest column": (x[c], ticks[short]),
         "ragged last block": (x[last + 1], ticks[counts[last + 1] - 1]),
         "top point": (x[c + 3], top[c + 3]),
         "corner (1, 0)": (x[-1], top[-1]),
     }
+
+
+def _points_off_the_lattice():
+    """Ticks above a column's top that the sweep evaluates and must ignore."""
+    x, ticks, counts, top = _lattice_columns(GRID_STEP)
+    c = optimize_module._SWEEP_COLUMNS
+    short = counts[2 * c - 1]
+    assert ticks[short] != top[2 * c - 1] and ticks[counts[c] - 1] > top[2 * c - 1]
+    return {
+        "first tick above a block's shortest column": (x[2 * c - 1], ticks[short]),
+        "tallest column's last tick in the shortest column": (x[2 * c - 1], ticks[counts[c] - 1]),
+    }
+
+
+def _bump(x0, y0):
+    """The objective with a bump of 100 at one point, above the analytic maximum."""
+
+    def bumped(family, x, y):
+        return value_xy(family, x, y) + 100.0 * ((x == x0) & (y == y0))
+
+    return bumped
 
 
 class TestDenseGridSweep:
@@ -264,15 +299,14 @@ class TestDenseGridSweep:
 
     @pytest.mark.parametrize("where", list(_sweep_points()))
     def test_sweep_reaches_every_kind_of_point(self, monkeypatch, where):
-        # a bump of 100 at one lattice point lifts it above the analytic maximum
-        x0, y0 = _sweep_points()[where]
-
-        def bumped(family, x, y):
-            return value_xy(family, x, y) + 100.0 * ((x == x0) & (y == y0))
-
-        monkeypatch.setattr(optimize_module, "value_xy", bumped)
-        with pytest.raises(CertificationMismatch):
+        monkeypatch.setattr(optimize_module, "value_xy", _bump(*_sweep_points()[where]))
+        with pytest.raises(CertificationMismatch, match="dense grid"):
             global_bound(F1)
+
+    @pytest.mark.parametrize("where", list(_points_off_the_lattice()))
+    def test_sweep_skips_ticks_above_a_column(self, monkeypatch, where):
+        monkeypatch.setattr(optimize_module, "value_xy", _bump(*_points_off_the_lattice()[where]))
+        assert global_bound(F1).grid_max < 16.0
 
     def test_warm_bound_stays_small_in_memory(self):
         global_bound(F1)
