@@ -11,12 +11,13 @@ Usage: python scripts/run_search.py [--iterations 100000] [--seed 1]
 import argparse
 
 from gamma3lab import FAMILIES, search_lower_bound
+from gamma3lab.config import DEFAULT_ITERATIONS, DEFAULT_SEED
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--iterations", type=int, default=100_000)
-    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--iterations", type=int, default=DEFAULT_ITERATIONS)
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     args = parser.parse_args()
 
     for tag in ("f1", "f2", "f3"):

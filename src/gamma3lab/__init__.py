@@ -5,9 +5,10 @@ Three subclasses of close-to-convex functions, cut out by the generators
 maximizing a bivariate objective over the feasibility region of Schwarz
 coefficient moduli.  This package reproduces every step numerically:
 truncated series arithmetic and the series logarithm, Schwarz-function
-witnesses as Blaschke products, the coefficient maps and closed forms,
-the constrained maximization with dense-grid certification, and a
-Schur-coordinate search that brackets the proved bounds from below.
+witnesses as Blaschke products, the gamma_3 closed forms checked against
+the series logarithm, the constrained maximization with dense-grid
+certification, and a Schur-coordinate search that brackets the proved
+bounds from below.
 """
 
 from .config import DEFAULT_ORDER, TOL, Tolerances, VerificationFailed
@@ -32,7 +33,6 @@ from .schwarz import (
     is_feasible,
     sample_batch,
     sample_blocks,
-    sample_schwarz,
     schur_triple,
     schur_witness,
     taylor_of_blaschke,
@@ -43,18 +43,13 @@ from .families import (
     F2,
     F3,
     FAMILIES,
-    BadRadius,
-    CoefficientTriple,
     Family,
-    coefficients_from_schwarz,
     family_by_tag,
     gamma3_closed_form,
-    gamma3_from_coefficients,
     gamma_sequence,
     identity_series,
     koebe_series,
     member_series,
-    membership_residual,
     milin_functional,
 )
 from .objective import (

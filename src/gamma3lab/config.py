@@ -13,6 +13,10 @@ from dataclasses import dataclass
 #: four logarithmic coefficients with guard terms to spare.
 DEFAULT_ORDER = 8
 
+#: The search's evaluation budget and every seeded run's seed, by default.
+DEFAULT_ITERATIONS = 100_000
+DEFAULT_SEED = 1
+
 
 @dataclass(frozen=True)
 class Tolerances:

@@ -6,12 +6,12 @@ Each family consists of normalized univalent functions f with
 
 for a fixed generator polynomial h: 1-z, 1-z^2 or 1-z+z^2.  Membership is
 equivalent to h(z) f'(z) = (1+w)/(1-w) for a Schwarz function w, which
-yields polynomial maps from the Schwarz coefficients (c1, c2, c3) to the
-Taylor coefficients (a2, a3, a4) and, through
+makes the Taylor coefficients (a2, a3, a4) polynomials in the Schwarz
+coefficients (c1, c2, c3) and, through
 
     gamma_3 = (1/2)(a4 - a2 a3 + a2^3 / 3),
 
-to a closed form
+gives a closed form
 
     gamma_3 = (w0 + w1 c1 + w2 c2 + w3 c3 + w12 c1 c2 + w111 c1^3) / scale
 
@@ -20,21 +20,19 @@ the family record; taking their absolute values gives exactly the
 objective function maximized in :mod:`gamma3lab.objective`, so the
 triangle-inequality step that links the two lives in one place.
 
-The logarithmic coefficients themselves come from the series logarithm:
-log(f(z)/z) = 2 sum gamma_n z^n, which forces gamma_1 = a2/2 and
-gamma_2 = (a3 - a2^2/2)/2; the implementation validates these against the
-log-series route rather than hand-expanding further.
+The closed form's independent check is the series-log route: the member
+series of w and its logarithm log(f(z)/z) = 2 sum gamma_n z^n, which
+forces gamma_1 = a2/2 and gamma_2 = (a3 - a2^2/2)/2 and is never
+hand-expanded further.
 
 Everything here is a pure function over immutable values.
 """
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
 
-from .config import DEFAULT_ORDER, TOL
+from .config import TOL
 from .schwarz import SchwarzTriple
 from .series import (
     NotNormalized,
@@ -44,10 +42,6 @@ from .series import (
     multiply,
     reciprocal,
 )
-
-
-class BadRadius(ValueError):
-    """Membership sampling requires 0 < radius < 1."""
 
 
 @dataclass(frozen=True)
@@ -80,45 +74,11 @@ def family_by_tag(tag: str) -> Family:
         raise KeyError(f"unknown family {tag!r}; expected one of f1, f2, f3") from None
 
 
-@dataclass(frozen=True)
-class CoefficientTriple:
-    """Taylor coefficients a2, a3, a4 of a normalized function."""
-
-    a2: complex
-    a3: complex
-    a4: complex
-
-
-def coefficients_from_schwarz(family: Family, c: SchwarzTriple) -> CoefficientTriple:
-    """Polynomial map from Schwarz coefficients to (a2, a3, a4)."""
-    c1, c2, c3 = c.c1, c.c2, c.c3
-    if family.tag == "F1":
-        a2 = (1 + 2 * c1) / 2
-        a3 = (1 + 2 * c1 + 2 * c1 * c1 + 2 * c2) / 3
-        a4 = (1 + 2 * c1 + 2 * c2 + 2 * c3 + 2 * c1 * c1 + 4 * c1 * c2 + 2 * c1 ** 3) / 4
-    elif family.tag == "F2":
-        a2 = c1
-        a3 = (1 + 2 * c2 + 2 * c1 * c1) / 3
-        a4 = (c1 + c3 + 2 * c1 * c2 + c1 ** 3) / 2
-    elif family.tag == "F3":
-        a2 = (1 + 2 * c1) / 2
-        a3 = 2 * (c1 + c2 + c1 * c1) / 3
-        a4 = (2 * c2 + 2 * c3 + 2 * c1 * c1 + 2 * c1 ** 3 + 4 * c1 * c2 - 1) / 4
-    else:  # pragma: no cover - family records are fixed above
-        raise KeyError(f"unknown family tag {family.tag!r}")
-    return CoefficientTriple(a2, a3, a4)
-
-
-def gamma3_from_coefficients(t: CoefficientTriple) -> complex:
-    """gamma_3 = (1/2)(a4 - a2 a3 + a2^3 / 3)."""
-    return (t.a4 - t.a2 * t.a3 + t.a2 ** 3 / 3) / 2
-
-
 def gamma3_closed_form(family: Family, c: SchwarzTriple) -> complex:
     """Family closed form for gamma_3 in terms of (c1, c2, c3).
 
-    Agrees with the composition gamma3_from_coefficients o
-    coefficients_from_schwarz to rounding error, for arbitrary inputs.
+    Agrees to rounding error, for arbitrary inputs, with the series-log
+    route gamma_sequence(member_series(family, c1 z + c2 z^2 + c3 z^3)).
     """
     w0, w1, w2, w3, w12, w111 = family.gamma3_weights
     c1, c2, c3 = c.c1, c.c2, c.c3
@@ -145,28 +105,6 @@ def member_series(family: Family, w: TruncatedSeries, order: int) -> TruncatedSe
     h = TruncatedSeries.from_polynomial(family.generator, n)
     f_prime = multiply(multiply(one + wt, reciprocal(one - wt)), reciprocal(h))
     return antiderivative(f_prime)
-
-
-def membership_residual(
-    family: Family, f_prime: TruncatedSeries, radius: float = 0.95, samples: int = 720
-) -> float:
-    """min Re{ h(z) f'(z) } over samples on the circle |z| = radius.
-
-    A positive residual is sampled evidence of membership at that radius,
-    not a proof; the truncation error of f' is the caller's concern.
-    """
-    if not 0.0 < radius < 1.0:
-        raise BadRadius(f"radius must lie in (0, 1), got {radius!r}")
-    if samples < 8:
-        raise ValueError("need at least 8 sample points")
-    h = TruncatedSeries.from_polynomial(family.generator, len(family.generator) - 1)
-    worst = math.inf
-    for k in range(samples):
-        z = radius * cmath.exp(2j * math.pi * k / samples)
-        val = (h.evaluate(z) * f_prime.evaluate(z)).real
-        if val < worst:
-            worst = val
-    return worst
 
 
 def gamma_sequence(f: TruncatedSeries, m: int) -> list[complex]:

@@ -19,10 +19,11 @@ The same products come one at a time (:class:`BlaschkeProduct`) or as a
 batch of one degree (:class:`BlaschkeBatch`, one complex array per zero),
 and :func:`triple_of_blaschke` reads (c1, c2, c3) off either with the
 same lines of arithmetic.  Samplers are pure functions of their seed:
-:func:`sample_batch` maps one stdlib stream to a batch, a single product
-is row 0 of it, :func:`_stream_uniforms` draws one stream's uniforms in
-blocks of bounded size, and :func:`sample_blocks` draws products of
-cycling degrees that way.
+:func:`sample_batch` maps one stdlib stream to a batch,
+:func:`_stream_uniforms` draws one stream's uniforms in blocks of bounded
+size, and :func:`sample_blocks` draws products of cycling degrees that
+way.  :func:`blaschke_value` evaluates a product directly, the reference
+that its Taylor series is checked against.
 """
 
 from __future__ import annotations
@@ -230,14 +231,11 @@ def _radii(u: np.ndarray, real_only: bool) -> np.ndarray:
     return np.sqrt(u[::2])
 
 
-def _rotation(u: np.ndarray, real_only: bool) -> np.ndarray:
-    """Rotations from a row of uniforms: +-1 when real, else uniform on the circle."""
-    return np.where(u < 0.5, 1.0, -1.0) + 0j if real_only else np.exp(2j * np.pi * u)
-
-
 def _batch(u: np.ndarray, real_only: bool) -> BlaschkeBatch:
-    """The products drawn by the columns of ``u``."""
-    return BlaschkeBatch(_zeros(u[:-1], real_only), _rotation(u[-1], real_only))
+    """The products drawn by the columns of ``u``; rotations are +-1 when real."""
+    r = u[-1]
+    rotation = np.where(r < 0.5, 1.0, -1.0) + 0j if real_only else np.exp(2j * np.pi * r)
+    return BlaschkeBatch(_zeros(u[:-1], real_only), rotation)
 
 
 def sample_batch(seed: int, degree: int, n: int, real_only: bool = False) -> BlaschkeBatch:
@@ -253,16 +251,6 @@ def sample_batch(seed: int, degree: int, n: int, real_only: bool = False) -> Bla
         raise ValueError("degree must be >= 1")
     data = random.Random(seed).randbytes(8 * n * _draws(degree, real_only))
     return _batch(_uniforms(data, degree, real_only), real_only)
-
-
-def sample_schwarz(seed: int, degree: int, real_only: bool = False) -> BlaschkeProduct:
-    """Deterministic random Blaschke product: row 0 of :func:`sample_batch`,
-    decoded from that row's uniforms alone, with no batch to build or validate."""
-    if degree < 1:
-        raise ValueError("degree must be >= 1")
-    data = random.Random(seed).randbytes(8 * _draws(degree, real_only))
-    u = _uniforms(data, degree, real_only)[:, 0]
-    return BlaschkeProduct(_zeros(u[:-1], real_only), _rotation(u[-1], real_only))
 
 
 def _derive_seed(master: int, index: int) -> int:

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TOL, VerificationFailed
+from .config import DEFAULT_ITERATIONS, DEFAULT_SEED, TOL, VerificationFailed
 from .families import Family, gamma3_closed_form
 from .objective import value_xy
 from .optimize import global_bound
@@ -190,8 +190,8 @@ def _refine(family: Family, a, b, values, budget: int, real_only: bool):
 
 def search_lower_bound(
     family: Family,
-    iterations: int = 100_000,
-    seed: int = 1,
+    iterations: int = DEFAULT_ITERATIONS,
+    seed: int = DEFAULT_SEED,
     real_only: bool = False,
 ) -> SearchResult:
     """Best |gamma_3| witness over the Schur parameters (a, b).

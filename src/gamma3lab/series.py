@@ -8,10 +8,11 @@ where ``N`` is the *order*.  Coefficients beyond the order are unknown, not
 zero, so every binary operation truncates its result to the shorter
 operand: nothing is ever fabricated beyond known data.
 
-The module supplies the ring operations, reciprocal, derivative and
-antiderivative, a series exponential, and the series logarithm of ``f/z``
-that defines the logarithmic coefficients of a normalized function
-(``f(0) = 0``, ``f'(0) = 1``).
+The module supplies the sum, difference and Cauchy product, reciprocal,
+antiderivative, and the series logarithm of ``f/z`` that defines the
+logarithmic coefficients of a normalized function (``f(0) = 0``,
+``f'(0) = 1``); derivative and exponential are the references they are
+checked against.
 
 All values are immutable and all functions are pure, so everything here is
 safe for unrestricted concurrent use.
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .config import TOL
 
@@ -46,10 +47,6 @@ class TruncatedSeries:
         object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
 
     @classmethod
-    def from_coefficients(cls, coeffs: Iterable[complex]) -> "TruncatedSeries":
-        return cls(tuple(coeffs))
-
-    @classmethod
     def from_polynomial(cls, coeffs: Sequence[complex], order: int) -> "TruncatedSeries":
         """Lift a polynomial to a series of the given order.
 
@@ -61,16 +58,9 @@ class TruncatedSeries:
         padded = list(coeffs[: order + 1]) + [0.0] * (order + 1 - len(coeffs))
         return cls(tuple(padded))
 
-    @classmethod
-    def zero(cls, order: int) -> "TruncatedSeries":
-        return cls.from_polynomial((0.0,), order)
-
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
-
-    def __getitem__(self, k: int) -> complex:
-        return self.coeffs[k]
 
     def truncate(self, order: int) -> "TruncatedSeries":
         if order > self.order:
@@ -88,17 +78,6 @@ class TruncatedSeries:
         return TruncatedSeries(
             tuple(self.coeffs[k] - other.coeffs[k] for k in range(n + 1))
         )
-
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(tuple(-c for c in self.coeffs))
-
-    def __mul__(self, other):
-        if isinstance(other, TruncatedSeries):
-            return multiply(self, other)
-        return TruncatedSeries(tuple(complex(other) * c for c in self.coeffs))
-
-    def __rmul__(self, scalar) -> "TruncatedSeries":
-        return self.__mul__(scalar)
 
     def evaluate(self, z: complex) -> complex:
         """Horner evaluation of the truncated polynomial at a point.

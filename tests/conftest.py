@@ -3,7 +3,7 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
-from gamma3lab import TruncatedSeries
+from gamma3lab import TruncatedSeries, sample_batch
 from gamma3lab.optimize import PUBLISHED_F3_TOP, _edge_polynomial, _lattice_columns
 
 
@@ -11,6 +11,11 @@ def assert_series_close(a: TruncatedSeries, b: TruncatedSeries, tol: float = 1e-
     assert a.order == b.order, f"orders differ: {a.order} vs {b.order}"
     for k, (ca, cb) in enumerate(zip(a.coeffs, b.coeffs)):
         assert abs(ca - cb) <= tol, f"coefficient {k}: {ca} vs {cb}"
+
+
+def sampled_product(seed: int, degree: int, real_only: bool = False):
+    """One seeded Blaschke product: the one-row batch of ``sample_batch``."""
+    return sample_batch(seed, degree, 1, real_only).product(0)
 
 
 def bounded_complex(radius: float = 1.0):

@@ -31,7 +31,6 @@ from gamma3lab import (
     member_series,
     milin_functional,
     sample_blocks,
-    sample_schwarz,
     search_lower_bound,
     taylor_of_blaschke,
     triple_of_blaschke,
@@ -39,6 +38,8 @@ from gamma3lab import (
 )
 from gamma3lab.cli import main as cli_main
 from gamma3lab.search import REMARK_VALUES
+
+from conftest import sampled_product
 
 ALL_FAMILIES = (F1, F2, F3)
 ORACLE_SAMPLES_PER_FAMILY = 10_000
@@ -280,7 +281,7 @@ def test_criterion_9_milin_checks(capsys):
     for offset, family in enumerate(ALL_FAMILIES):
         base = 7_000_000 * (offset + 1)
         for i in range(per_family):
-            w = taylor_of_blaschke(sample_schwarz(base + i, 1 + i % 4), 8)
+            w = taylor_of_blaschke(sampled_product(base + i, 1 + i % 4), 8)
             f = member_series(family, w, 8)
             worst = max(worst, milin_functional(f, 3))
     members_ok = worst <= 1e-9

@@ -96,6 +96,14 @@ class TestVerifyCarlson:
         assert doc["status"] == "pass"
         assert all(s >= -1e-9 for s in doc["worst_slacks"])
 
+    def test_reports_only_the_degrees_it_draws(self, capsys):
+        for samples, degrees in (("2", [1, 2]), ("6", [1, 2, 3, 4, 5, 6])):
+            code, out, _ = run_cli(
+                capsys, "verify-carlson", "--samples", samples, "--format", "json"
+            )
+            assert code == 0
+            assert json.loads(out)["degrees"] == degrees
+
     def test_text_output(self, capsys):
         code, out, _ = run_cli(capsys, "verify-carlson", "--samples", "500")
         assert code == 0

@@ -2,36 +2,37 @@ import pytest
 from hypothesis import given, settings
 
 from gamma3lab import (
+    DEFAULT_ORDER,
     F1,
     F2,
     F3,
-    BadRadius,
-    CoefficientTriple,
     NotNormalized,
     SchwarzTriple,
     TruncatedSeries,
-    coefficients_from_schwarz,
     family_by_tag,
     gamma3_closed_form,
-    gamma3_from_coefficients,
     gamma_sequence,
     identity_series,
     koebe_series,
     member_series,
-    membership_residual,
     milin_functional,
-    sample_schwarz,
     taylor_of_blaschke,
     triple_of_blaschke,
 )
 
-from conftest import assert_series_close, bounded_complex
+from conftest import assert_series_close, bounded_complex, sampled_product
 
 ALL_FAMILIES = (F1, F2, F3)
 
 
 def member_from_sample(family, seed, degree=3, order=8, real_only=False):
-    w = taylor_of_blaschke(sample_schwarz(seed, degree, real_only), order)
+    w = taylor_of_blaschke(sampled_product(seed, degree, real_only), order)
+    return member_series(family, w, order)
+
+
+def member_of(family, c1, c2, c3, order=DEFAULT_ORDER):
+    """The member series of w = c1 z + c2 z^2 + c3 z^3."""
+    w = TruncatedSeries.from_polynomial((0, c1, c2, c3), order)
     return member_series(family, w, order)
 
 
@@ -50,34 +51,30 @@ class TestFamilyRecords:
 
 
 class TestCoefficientMaps:
+    """(a2, a3, a4) of the member series at the order the gamma command uses."""
+
     def test_first_family_at_rotation(self):
-        t = coefficients_from_schwarz(F1, SchwarzTriple(1, 0, 0))
-        assert abs(t.a2 - 1.5) <= 1e-15
-        assert abs(t.a3 - 5 / 3) <= 1e-15
-        assert abs(t.a4 - 7 / 4) <= 1e-15
+        a2, a3, a4 = member_of(F1, 1, 0, 0).coeffs[2:5]
+        assert abs(a2 - 1.5) <= 1e-15
+        assert abs(a3 - 5 / 3) <= 1e-15
+        assert abs(a4 - 7 / 4) <= 1e-15
 
     def test_second_family_at_zero(self):
-        t = coefficients_from_schwarz(F2, SchwarzTriple(0, 0, 0))
-        assert (t.a2, t.a4) == (0j, 0j)
-        assert abs(t.a3 - 1 / 3) <= 1e-15
+        a2, a3, a4 = member_of(F2, 0, 0, 0).coeffs[2:5]
+        assert (a2, a4) == (0j, 0j)
+        assert abs(a3 - 1 / 3) <= 1e-15
 
     def test_third_family_at_zero(self):
-        t = coefficients_from_schwarz(F3, SchwarzTriple(0, 0, 0))
-        assert abs(t.a2 - 0.5) <= 1e-15
-        assert t.a3 == 0j
-        assert abs(t.a4 - (-0.25)) <= 1e-15
+        a2, a3, a4 = member_of(F3, 0, 0, 0).coeffs[2:5]
+        assert abs(a2 - 0.5) <= 1e-15
+        assert a3 == 0j
+        assert abs(a4 - (-0.25)) <= 1e-15
 
     def test_first_family_at_zero(self):
-        t = coefficients_from_schwarz(F1, SchwarzTriple(0, 0, 0))
-        assert (t.a2, t.a3, t.a4) == (0.5 + 0j, 1 / 3 + 0j, 0.25 + 0j)
+        assert member_of(F1, 0, 0, 0).coeffs[2:5] == (0.5 + 0j, 1 / 3 + 0j, 0.25 + 0j)
 
 
 class TestGamma3:
-    def test_from_coefficients(self):
-        assert abs(gamma3_from_coefficients(CoefficientTriple(1.5, 5 / 3, 7 / 4)) - 3 / 16) <= 1e-15
-        assert gamma3_from_coefficients(CoefficientTriple(0, 1 / 3, 0)) == 0j
-        assert abs(gamma3_from_coefficients(CoefficientTriple(0.5, 0, -0.25)) - (-5 / 48)) <= 1e-15
-
     def test_closed_form_values(self):
         assert abs(gamma3_closed_form(F1, SchwarzTriple(1, 0, 0)) - 0.1875) <= 1e-15
         assert gamma3_closed_form(F2, SchwarzTriple(0, 0, 0)) == 0j
@@ -88,13 +85,13 @@ class TestGamma3:
     def test_closed_form_equals_composition(self, c1, c2, c3):
         c = SchwarzTriple(c1, c2, c3)
         for family in ALL_FAMILIES:
-            via_map = gamma3_from_coefficients(coefficients_from_schwarz(family, c))
-            assert abs(gamma3_closed_form(family, c) - via_map) <= 1e-12
+            via_log = gamma_sequence(member_of(family, c1, c2, c3), 3)[2]
+            assert abs(gamma3_closed_form(family, c) - via_log) <= 1e-12
 
 
 class TestMemberSeries:
     def test_first_family_trivial(self):
-        f = member_series(F1, TruncatedSeries.zero(8), 4)
+        f = member_series(F1, TruncatedSeries.from_polynomial((0.0,), 8), 4)
         assert_series_close(f, TruncatedSeries((0, 1, 0.5, 1 / 3, 0.25)))
 
     def test_first_family_linear_w(self):
@@ -103,7 +100,7 @@ class TestMemberSeries:
         assert_series_close(f, TruncatedSeries((0, 1, 1.5, 5 / 3, 7 / 4)))
 
     def test_second_family_trivial(self):
-        f = member_series(F2, TruncatedSeries.zero(8), 4)
+        f = member_series(F2, TruncatedSeries.from_polynomial((0.0,), 8), 4)
         assert_series_close(f, TruncatedSeries((0, 1, 0, 1 / 3, 0)))
 
     def test_normalization_by_construction(self):
@@ -114,35 +111,9 @@ class TestMemberSeries:
 
     def test_requires_w_data(self):
         with pytest.raises(ValueError):
-            member_series(F1, TruncatedSeries.zero(2), 8)
+            member_series(F1, TruncatedSeries.from_polynomial((0.0,), 2), 8)
         with pytest.raises(ValueError):
             member_series(F1, TruncatedSeries((0.5, 0, 0)), 3)
-
-
-class TestMembershipResidual:
-    def test_member_is_positive(self):
-        f = member_series(F1, TruncatedSeries.zero(8), 8)
-        f_prime = TruncatedSeries(tuple((k + 1) * f.coeffs[k + 1] for k in range(f.order)))
-        assert membership_residual(F1, f_prime, 0.9, 360) > 0
-
-    def test_non_member_goes_negative(self):
-        # (1-z) * truncated 1/(1-z)^3 has negative real part near the rim
-        f_prime = TruncatedSeries(tuple((k + 1) * (k + 2) / 2 for k in range(9)))
-        assert membership_residual(F1, f_prime, 0.95, 720) < 0
-
-    def test_unit_derivative_gives_generator_minimum(self):
-        one = TruncatedSeries.from_polynomial((1.0,), 4)
-        assert abs(membership_residual(F1, one, 0.5, 360) - 0.5) <= 1e-9
-        assert abs(membership_residual(F2, one, 0.5, 360) - 0.75) <= 1e-9
-        assert abs(membership_residual(F3, one, 0.5, 360) - 0.625) <= 1e-9
-
-    def test_bad_radius(self):
-        one = TruncatedSeries.from_polynomial((1.0,), 4)
-        for radius in (0.0, 1.0, -0.5, 1.5):
-            with pytest.raises(BadRadius):
-                membership_residual(F1, one, radius, 360)
-        with pytest.raises(ValueError):
-            membership_residual(F1, one, 0.5, 4)
 
 
 class TestGammaSequence:
@@ -155,7 +126,7 @@ class TestGammaSequence:
         assert all(abs(g) <= 1e-15 for g in gamma_sequence(identity_series(8), 5))
 
     def test_matches_closed_form_for_trivial_member(self):
-        f = member_series(F1, TruncatedSeries.zero(8), 8)
+        f = member_series(F1, TruncatedSeries.from_polynomial((0.0,), 8), 8)
         g3 = gamma_sequence(f, 3)[2]
         assert abs(g3 - 1 / 16) <= 1e-12
         assert abs(g3 - gamma3_closed_form(F1, SchwarzTriple(0, 0, 0))) <= 1e-12
@@ -165,14 +136,16 @@ class TestGammaSequence:
             gamma_sequence(identity_series(3), 3)
 
     def test_low_order_formulas_match_log_route(self):
-        # gamma1 = a2/2 and gamma2 = (a3 - a2^2/2)/2, as the log series forces
+        # gamma1 = a2/2, gamma2 = (a3 - a2^2/2)/2 and
+        # gamma3 = (a4 - a2 a3 + a2^3/3)/2, as the log series forces
         for family in ALL_FAMILIES:
             for seed in range(20):
                 f = member_from_sample(family, seed=seed, degree=3)
-                a2, a3 = f.coeffs[2], f.coeffs[3]
-                g1, g2 = gamma_sequence(f, 2)
+                a2, a3, a4 = f.coeffs[2], f.coeffs[3], f.coeffs[4]
+                g1, g2, g3 = gamma_sequence(f, 3)
                 assert abs(g1 - a2 / 2) <= 1e-12
                 assert abs(g2 - (a3 - a2 * a2 / 2) / 2) <= 1e-12
+                assert abs(g3 - (a4 - a2 * a3 + a2**3 / 3) / 2) <= 1e-12
 
 
 class TestRealRestriction:
@@ -182,9 +155,9 @@ class TestRealRestriction:
         for family in ALL_FAMILIES:
             sharp = REMARK_VALUES[family.tag]
             for seed in range(400):
-                b = sample_schwarz(seed, 1 + seed % 4, real_only=True)
+                b = sampled_product(seed, 1 + seed % 4, real_only=True)
                 c = triple_of_blaschke(b)
-                a2 = coefficients_from_schwarz(family, c).a2
+                a2 = member_series(family, taylor_of_blaschke(b, 2), 3).coeffs[2]
                 g3 = gamma3_closed_form(family, c)
                 assert a2.imag == 0.0
                 assert g3.imag == 0.0

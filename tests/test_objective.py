@@ -16,13 +16,12 @@ from gamma3lab import (
     gamma3_closed_form,
     global_bound,
     gradient_xy,
-    sample_schwarz,
     triple_of_blaschke,
     value_xy,
 )
 from gamma3lab.optimize import _edge_polynomial
 
-from conftest import lattice
+from conftest import lattice, sampled_product
 
 ALL_FAMILIES = (F1, F2, F3)
 
@@ -140,7 +139,7 @@ class TestDomination:
         # the triangle-inequality step: scale*|gamma3| <= objective at (|c1|, |c2|)
         for family in ALL_FAMILIES:
             for seed in range(300):
-                c = triple_of_blaschke(sample_schwarz(seed, 1 + seed % 5))
+                c = triple_of_blaschke(sampled_product(seed, 1 + seed % 5))
                 lhs = family.scale * abs(gamma3_closed_form(family, c))
                 assert lhs <= value_xy(family, abs(c.c1), abs(c.c2)) + 1e-9
 

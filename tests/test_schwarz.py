@@ -22,7 +22,6 @@ from gamma3lab import (
     is_feasible,
     sample_batch,
     sample_blocks,
-    sample_schwarz,
     schur_triple,
     schur_witness,
     taylor_of_blaschke,
@@ -31,7 +30,7 @@ from gamma3lab import (
 from gamma3lab import schwarz
 from gamma3lab.schwarz import _batch, _derive_seed, _uniforms
 
-from conftest import disk_complex
+from conftest import disk_complex, sampled_product
 
 
 class TestTaylorOfBlaschke:
@@ -48,7 +47,7 @@ class TestTaylorOfBlaschke:
         assert w.coeffs == (0j, -0.5 + 0j, 0.75 + 0j, 0.375 + 0j)
 
     def test_constant_coefficient_exactly_zero(self):
-        b = sample_schwarz(3, 4)
+        b = sampled_product(3, 4)
         assert taylor_of_blaschke(b, 5).coeffs[0] == 0j
 
     def test_rejects_bad_order(self):
@@ -66,7 +65,7 @@ class TestTaylorOfBlaschke:
         assert abs(t.c3 - rot * a.conjugate() * lead) <= 1e-12
 
     def test_taylor_matches_direct_evaluation(self):
-        b = sample_schwarz(11, 3)
+        b = sampled_product(11, 3)
         w = taylor_of_blaschke(b, 20)
         z = 0.3 - 0.2j
         assert abs(w.evaluate(z) - blaschke_value(b, z)) <= 1e-9
@@ -76,7 +75,7 @@ class TestTripleRecurrence:
     def test_matches_series_on_scalars(self):
         for degree in range(1, 7):
             for seed in range(50):
-                b = sample_schwarz(seed, degree)
+                b = sampled_product(seed, degree)
                 t = triple_of_blaschke(b)
                 w = taylor_of_blaschke(b, 3).coeffs
                 assert max(abs(t.c1 - w[1]), abs(t.c2 - w[2]), abs(t.c3 - w[3])) <= 1e-13
@@ -126,12 +125,12 @@ class TestBlaschkeProduct:
         assert BlaschkeProduct((0.1, 0.2), 1.0).degree == 3
 
     def test_fixes_origin_exactly(self):
-        b = sample_schwarz(5, 4)
+        b = sampled_product(5, 4)
         assert blaschke_value(b, 0j) == 0j
 
     def test_maps_disk_into_disk_on_grid(self):
         # 10^3-point grid with |z| <= 0.999
-        b = sample_schwarz(17, 5)
+        b = sampled_product(17, 5)
         for i in range(40):
             r = 0.999 * (i + 1) / 40
             for j in range(25):
@@ -140,38 +139,33 @@ class TestBlaschkeProduct:
 
 
 class TestSampleSchwarz:
+    """Single products, each the one-row batch of its seed."""
+
     def test_deterministic(self):
-        assert sample_schwarz(7, 3) == sample_schwarz(7, 3)
-        assert sample_schwarz(7, 3, True) == sample_schwarz(7, 3, True)
+        assert sampled_product(7, 3) == sampled_product(7, 3)
+        assert sampled_product(7, 3, True) == sampled_product(7, 3, True)
 
     def test_different_seeds_differ(self):
-        assert sample_schwarz(7, 3) != sample_schwarz(8, 3)
+        assert sampled_product(7, 3) != sampled_product(8, 3)
 
     def test_real_only_structure(self):
-        b = sample_schwarz(7, 3, real_only=True)
+        b = sampled_product(7, 3, real_only=True)
         assert all(z.imag == 0.0 for z in b.zeros)
         assert b.rotation in (1 + 0j, -1 + 0j)
 
     def test_degree_validated(self):
         with pytest.raises(ValueError):
-            sample_schwarz(1, 0)
+            sample_batch(1, 0, 1)
 
     def test_is_row_zero_of_the_batch(self):
         for real_only in (False, True):
             for degree in (1, 2, 5):
                 batch = sample_batch(31, degree, 40, real_only)
-                assert sample_schwarz(31, degree, real_only) == batch.product(0)
-
-    def test_is_the_one_row_batch(self):
-        for real_only in (False, True):
-            for degree in range(1, 7):
-                for seed in range(21):
-                    one = sample_batch(seed, degree, 1, real_only).product(0)
-                    assert sample_schwarz(seed, degree, real_only) == one
+                assert sampled_product(31, degree, real_only) == batch.product(0)
 
     def test_samples_pass_carlson(self):
         for seed in range(500):
-            b = sample_schwarz(seed, 1 + seed % 6)
+            b = sampled_product(seed, 1 + seed % 6)
             assert all(s >= -1e-9 for s in carlson_check(triple_of_blaschke(b)))
 
 
