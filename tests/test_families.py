@@ -75,6 +75,15 @@ class TestCoefficientMaps:
 
 
 class TestGamma3:
+    def test_from_coefficients(self):
+        # gamma_3 of f = z + a2 z^2 + a3 z^3 + a4 z^4, read off the series logarithm
+        def gamma3(a2, a3, a4):
+            return gamma_sequence(TruncatedSeries((0, 1, a2, a3, a4)), 3)[2]
+
+        assert abs(gamma3(1.5, 5 / 3, 7 / 4) - 3 / 16) <= 1e-15
+        assert gamma3(0, 1 / 3, 0) == 0j
+        assert abs(gamma3(0.5, 0, -0.25) - (-5 / 48)) <= 1e-15
+
     def test_closed_form_values(self):
         assert abs(gamma3_closed_form(F1, SchwarzTriple(1, 0, 0)) - 0.1875) <= 1e-15
         assert gamma3_closed_form(F2, SchwarzTriple(0, 0, 0)) == 0j
