@@ -17,8 +17,6 @@ from .series import (
     TruncatedSeries,
     ZeroConstantTerm,
     antiderivative,
-    derivative,
-    exp_series,
     log_over_z,
     multiply,
     reciprocal,

@@ -23,13 +23,15 @@ triangle-inequality step that links the two lives in one place.
 The closed form's independent check is the series-log route: the member
 series of w and its logarithm log(f(z)/z) = 2 sum gamma_n z^n, which
 forces gamma_1 = a2/2 and gamma_2 = (a3 - a2^2/2)/2 and is never
-hand-expanded further.
+hand-expanded further.  h is a constant of the family, so the series 1
+and 1/h of each (generator, order) are built once and shared.
 
 Everything here is a pure function over immutable values.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .config import TOL
@@ -101,10 +103,18 @@ def member_series(family: Family, w: TruncatedSeries, order: int) -> TruncatedSe
         )
     n = order - 1
     wt = w.truncate(n)
-    one = TruncatedSeries.from_polynomial((1.0,), n)
-    h = TruncatedSeries.from_polynomial(family.generator, n)
-    f_prime = multiply(multiply(one + wt, reciprocal(one - wt)), reciprocal(h))
+    one, inv_h = _one_and_inverse(family.generator, n)
+    f_prime = multiply(multiply(one + wt, reciprocal(one - wt)), inv_h)
     return antiderivative(f_prime)
+
+
+@functools.cache
+def _one_and_inverse(
+    generator: tuple[float, ...], order: int
+) -> tuple[TruncatedSeries, TruncatedSeries]:
+    """The series 1 and 1/h of the generator h, at the given order."""
+    one = TruncatedSeries.from_polynomial((1.0,), order)
+    return one, reciprocal(TruncatedSeries.from_polynomial(generator, order))
 
 
 def gamma_sequence(f: TruncatedSeries, m: int) -> list[complex]:

@@ -136,7 +136,7 @@ def _factor_series(alpha: complex, order: int) -> TruncatedSeries:
     for _ in range(order):
         coeffs.append(p * lead)
         p *= ac
-    return TruncatedSeries(tuple(coeffs))
+    return TruncatedSeries._of(tuple(coeffs))
 
 
 def taylor_of_blaschke(b: BlaschkeProduct, order: int) -> TruncatedSeries:
@@ -149,8 +149,8 @@ def taylor_of_blaschke(b: BlaschkeProduct, order: int) -> TruncatedSeries:
     tail = TruncatedSeries.from_polynomial((1.0,), order - 1)
     for a in b.zeros:
         tail = multiply(tail, _factor_series(a, order - 1))
-    coeffs = [0j] + [b.rotation * c for c in tail.coeffs]
-    return TruncatedSeries(tuple(coeffs))
+    rotation = b.rotation
+    return TruncatedSeries._of((0j,) + tuple(rotation * c for c in tail.coeffs))
 
 
 def triple_of_blaschke(b: BlaschkeProduct | BlaschkeBatch) -> SchwarzTriple:

@@ -11,8 +11,15 @@ operand: nothing is ever fabricated beyond known data.
 The module supplies the sum, difference and Cauchy product, reciprocal,
 antiderivative, and the series logarithm of ``f/z`` that defines the
 logarithmic coefficients of a normalized function (``f(0) = 0``,
-``f'(0) = 1``); derivative and exponential are the references they are
-checked against.
+``f'(0) = 1``).
+
+Outside data is coerced to ``complex`` once, where it enters: the public
+constructor and :meth:`TruncatedSeries.from_polynomial`.  Every operation
+here computes complex coefficients from complex coefficients, so it builds
+its result directly, through :meth:`TruncatedSeries._of`, without coercing
+them again.  A series that many calls share is built once:
+:func:`gamma3lab.families.member_series` computes 1/h once per
+(generator, order).
 
 All values are immutable and all functions are pure, so everything here is
 safe for unrestricted concurrent use.
@@ -20,8 +27,8 @@ safe for unrestricted concurrent use.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
+from operator import add, sub
 from typing import Sequence
 
 from .config import TOL
@@ -47,6 +54,17 @@ class TruncatedSeries:
         object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
 
     @classmethod
+    def _of(cls, coeffs: tuple[complex, ...]) -> "TruncatedSeries":
+        """The series of ``coeffs``, a nonempty tuple of ``complex``, as is.
+
+        For results computed from series, whose coefficients are complex
+        already; outside data goes through the public constructor.
+        """
+        s = object.__new__(cls)
+        object.__setattr__(s, "coeffs", coeffs)
+        return s
+
+    @classmethod
     def from_polynomial(cls, coeffs: Sequence[complex], order: int) -> "TruncatedSeries":
         """Lift a polynomial to a series of the given order.
 
@@ -63,84 +81,50 @@ class TruncatedSeries:
         return len(self.coeffs) - 1
 
     def truncate(self, order: int) -> "TruncatedSeries":
+        if order < 0:
+            raise ValueError("order must be >= 0")
         if order > self.order:
             raise ValueError("cannot extend a series past its known order")
-        return TruncatedSeries(self.coeffs[: order + 1])
+        return TruncatedSeries._of(self.coeffs[: order + 1])
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = min(self.order, other.order)
-        return TruncatedSeries(
-            tuple(self.coeffs[k] + other.coeffs[k] for k in range(n + 1))
-        )
+        # map stops at the shorter operand
+        return TruncatedSeries._of(tuple(map(add, self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = min(self.order, other.order)
-        return TruncatedSeries(
-            tuple(self.coeffs[k] - other.coeffs[k] for k in range(n + 1))
-        )
-
-    def evaluate(self, z: complex) -> complex:
-        """Horner evaluation of the truncated polynomial at a point.
-
-        Truncation error is the caller's responsibility via the order.
-        """
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        return acc
+        return TruncatedSeries._of(tuple(map(sub, self.coeffs, other.coeffs)))
 
 
 def multiply(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """Cauchy product truncated to the shorter operand."""
-    n = min(a.order, b.order)
+    x, y = a.coeffs, b.coeffs
     out = []
-    for k in range(n + 1):
+    for k in range(min(len(x), len(y))):
         s = 0j
         for i in range(k + 1):
-            s += a.coeffs[i] * b.coeffs[k - i]
+            s += x[i] * y[k - i]
         out.append(s)
-    return TruncatedSeries(tuple(out))
+    return TruncatedSeries._of(tuple(out))
 
 
 def reciprocal(a: TruncatedSeries) -> TruncatedSeries:
     """Multiplicative inverse at the same order; needs a nonzero constant term."""
-    if abs(a.coeffs[0]) <= TOL.zero_constant:
-        raise ZeroConstantTerm(
-            f"constant term {a.coeffs[0]!r} is too small to invert"
-        )
-    inv0 = 1.0 / a.coeffs[0]
+    x = a.coeffs
+    if abs(x[0]) <= TOL.zero_constant:
+        raise ZeroConstantTerm(f"constant term {x[0]!r} is too small to invert")
+    inv0 = 1.0 / x[0]
     out = [inv0]
-    for k in range(1, a.order + 1):
+    for k in range(1, len(x)):
         s = 0j
         for i in range(1, k + 1):
-            s += a.coeffs[i] * out[k - i]
+            s += x[i] * out[k - i]
         out.append(-inv0 * s)
-    return TruncatedSeries(tuple(out))
-
-
-def derivative(a: TruncatedSeries) -> TruncatedSeries:
-    """Term-wise derivative; drops the order by one (floor at zero)."""
-    if a.order == 0:
-        return TruncatedSeries((0j,))
-    return TruncatedSeries(tuple((k + 1) * a.coeffs[k + 1] for k in range(a.order)))
+    return TruncatedSeries._of(tuple(out))
 
 
 def antiderivative(a: TruncatedSeries) -> TruncatedSeries:
     """Term-wise antiderivative with constant term zero; raises order by one."""
-    out = [0j] + [a.coeffs[k] / (k + 1) for k in range(a.order + 1)]
-    return TruncatedSeries(tuple(out))
-
-
-def exp_series(g: TruncatedSeries) -> TruncatedSeries:
-    """Series exponential via the recurrence E' = g' E."""
-    e0 = cmath.exp(g.coeffs[0])
-    out = [e0]
-    for n in range(g.order):
-        s = 0j
-        for j in range(n + 1):
-            s += (j + 1) * g.coeffs[j + 1] * out[n - j]
-        out.append(s / (n + 1))
-    return TruncatedSeries(tuple(out))
+    return TruncatedSeries._of((0j,) + tuple(c / k for k, c in enumerate(a.coeffs, 1)))
 
 
 def log_over_z(f: TruncatedSeries) -> TruncatedSeries:
@@ -153,13 +137,12 @@ def log_over_z(f: TruncatedSeries) -> TruncatedSeries:
     conditioned than composing with the logarithm's Maclaurin expansion and
     takes a single pass.
     """
-    if f.order < 1:
+    x = f.coeffs
+    if len(x) < 2:
         raise NotNormalized("need at least the z coefficient")
-    if abs(f.coeffs[0]) > TOL.normalized or abs(f.coeffs[1] - 1.0) > TOL.normalized:
-        raise NotNormalized(
-            f"series is not normalized: f(0)={f.coeffs[0]!r}, f'(0)={f.coeffs[1]!r}"
-        )
-    u = f.coeffs[1:]  # coefficients of f/z; u[0] == 1 up to tolerance
+    if abs(x[0]) > TOL.normalized or abs(x[1] - 1.0) > TOL.normalized:
+        raise NotNormalized(f"series is not normalized: f(0)={x[0]!r}, f'(0)={x[1]!r}")
+    u = x[1:]  # coefficients of f/z; u[0] == 1 up to tolerance
     n_max = len(u) - 1
     g = [0j] * (n_max + 1)
     for n in range(n_max):
@@ -168,4 +151,4 @@ def log_over_z(f: TruncatedSeries) -> TruncatedSeries:
         for j in range(n):
             s += (j + 1) * g[j + 1] * u[n - j]
         g[n + 1] = ((n + 1) * u[n + 1] - s) / ((n + 1) * u[0])
-    return TruncatedSeries(tuple(g))
+    return TruncatedSeries._of(tuple(g))

@@ -13,6 +13,14 @@ def assert_series_close(a: TruncatedSeries, b: TruncatedSeries, tol: float = 1e-
         assert abs(ca - cb) <= tol, f"coefficient {k}: {ca} vs {cb}"
 
 
+def bits(s: TruncatedSeries) -> tuple[tuple[str, str], ...]:
+    """The exact bits of every coefficient, ±0.0 told apart; a series'
+    coefficients must be a tuple of Python ``complex``."""
+    assert type(s.coeffs) is tuple
+    assert all(type(c) is complex for c in s.coeffs), s.coeffs
+    return tuple((c.real.hex(), c.imag.hex()) for c in s.coeffs)
+
+
 def sampled_product(seed: int, degree: int, real_only: bool = False):
     """One seeded Blaschke product: the one-row batch of ``sample_batch``."""
     return sample_batch(seed, degree, 1, real_only).product(0)

@@ -1,0 +1,128 @@
+"""Test-only references for the series arithmetic.
+
+The index-loop bodies below are the plain definitions of the operations in
+:mod:`gamma3lab.series`: they read every coefficient through ``.coeffs``
+and build every result through the public, coercing constructor.  The
+program's operations must agree with them bit for bit, and so must
+``taylor_of_blaschke`` and ``member_series`` with their compositions
+below, which build every series afresh on every call.  ``evaluate``,
+``derivative`` and ``exp_series`` have no program twin; they are the
+independent checks of ``taylor_of_blaschke``, ``antiderivative`` and
+``log_over_z``.
+"""
+
+import cmath
+
+from gamma3lab import TOL, NotNormalized, TruncatedSeries, ZeroConstantTerm
+
+
+def truncate(a: TruncatedSeries, order: int) -> TruncatedSeries:
+    if order > a.order:
+        raise ValueError("cannot extend a series past its known order")
+    return TruncatedSeries(a.coeffs[: order + 1])
+
+
+def add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
+    n = min(a.order, b.order)
+    return TruncatedSeries(tuple(a.coeffs[k] + b.coeffs[k] for k in range(n + 1)))
+
+
+def sub(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
+    n = min(a.order, b.order)
+    return TruncatedSeries(tuple(a.coeffs[k] - b.coeffs[k] for k in range(n + 1)))
+
+
+def multiply(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
+    n = min(a.order, b.order)
+    out = []
+    for k in range(n + 1):
+        s = 0j
+        for i in range(k + 1):
+            s += a.coeffs[i] * b.coeffs[k - i]
+        out.append(s)
+    return TruncatedSeries(tuple(out))
+
+
+def reciprocal(a: TruncatedSeries) -> TruncatedSeries:
+    if abs(a.coeffs[0]) <= TOL.zero_constant:
+        raise ZeroConstantTerm(f"constant term {a.coeffs[0]!r} is too small to invert")
+    inv0 = 1.0 / a.coeffs[0]
+    out = [inv0]
+    for k in range(1, a.order + 1):
+        s = 0j
+        for i in range(1, k + 1):
+            s += a.coeffs[i] * out[k - i]
+        out.append(-inv0 * s)
+    return TruncatedSeries(tuple(out))
+
+
+def antiderivative(a: TruncatedSeries) -> TruncatedSeries:
+    out = [0j] + [a.coeffs[k] / (k + 1) for k in range(a.order + 1)]
+    return TruncatedSeries(tuple(out))
+
+
+def log_over_z(f: TruncatedSeries) -> TruncatedSeries:
+    if f.order < 1:
+        raise NotNormalized("need at least the z coefficient")
+    if abs(f.coeffs[0]) > TOL.normalized or abs(f.coeffs[1] - 1.0) > TOL.normalized:
+        raise NotNormalized("series is not normalized")
+    u = f.coeffs[1:]
+    n_max = len(u) - 1
+    g = [0j] * (n_max + 1)
+    for n in range(n_max):
+        s = 0j
+        for j in range(n):
+            s += (j + 1) * g[j + 1] * u[n - j]
+        g[n + 1] = ((n + 1) * u[n + 1] - s) / ((n + 1) * u[0])
+    return TruncatedSeries(tuple(g))
+
+
+def taylor_of_blaschke(b, order: int) -> TruncatedSeries:
+    """The Taylor coefficients of a Blaschke product, one factor at a time."""
+    tail = TruncatedSeries.from_polynomial((1.0,), order - 1)
+    for a in b.zeros:
+        ac = a.conjugate()
+        lead = 1.0 - (a * ac).real
+        coeffs = [-a]
+        p = 1.0 + 0j
+        for _ in range(order - 1):
+            coeffs.append(p * lead)
+            p *= ac
+        tail = multiply(tail, TruncatedSeries(tuple(coeffs)))
+    return TruncatedSeries(tuple([0j] + [b.rotation * c for c in tail.coeffs]))
+
+
+def member_series(family, w: TruncatedSeries, order: int) -> TruncatedSeries:
+    """f with h f' = (1 + w)/(1 - w), with 1 and 1/h built on every call."""
+    n = order - 1
+    wt = truncate(w, n)
+    one = TruncatedSeries.from_polynomial((1.0,), n)
+    h = TruncatedSeries.from_polynomial(family.generator, n)
+    return antiderivative(multiply(multiply(add(one, wt), reciprocal(sub(one, wt))), reciprocal(h)))
+
+
+def evaluate(a: TruncatedSeries, z: complex) -> complex:
+    """Horner evaluation of the truncated polynomial at a point."""
+    acc = 0j
+    for c in reversed(a.coeffs):
+        acc = acc * z + c
+    return acc
+
+
+def derivative(a: TruncatedSeries) -> TruncatedSeries:
+    """Term-wise derivative; drops the order by one (floor at zero)."""
+    if a.order == 0:
+        return TruncatedSeries((0j,))
+    return TruncatedSeries(tuple((k + 1) * a.coeffs[k + 1] for k in range(a.order)))
+
+
+def exp_series(g: TruncatedSeries) -> TruncatedSeries:
+    """Series exponential via the recurrence E' = g' E."""
+    e0 = cmath.exp(g.coeffs[0])
+    out = [e0]
+    for n in range(g.order):
+        s = 0j
+        for j in range(n + 1):
+            s += (j + 1) * g.coeffs[j + 1] * out[n - j]
+        out.append(s / (n + 1))
+    return TruncatedSeries(tuple(out))

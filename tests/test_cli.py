@@ -14,6 +14,15 @@ from conftest import published_f3_top
 
 
 GOLDEN = Path(__file__).parent / "golden"
+#: golden file -> the ``gamma`` arguments whose stdout it holds
+GAMMA_GOLDEN = {
+    **{
+        f"gamma_{family}.{suffix}": (family, "--c1", "0.1", "--c2", "0.2", "--c3", "0.3", "--format", fmt)
+        for family in ("f1", "f2", "f3")
+        for fmt, suffix in (("text", "txt"), ("json", "json"))
+    },
+    "gamma_f1_complex.json": ("f1", "--c1=0.2+0.1j", "--c2=-0.3j", "--c3", "0.1", "--format", "json"),
+}
 
 
 def run_cli(capsys, *args):
@@ -85,6 +94,15 @@ class TestGamma:
         assert json.loads(out)["delta"] <= 1e-12
 
 
+    @pytest.mark.parametrize("golden", sorted(GAMMA_GOLDEN))
+    def test_report_bytes_are_pinned(self, capsys, golden):
+        # delta prints the gap between the routes to 12 digits, so a rounding
+        # change in the series route shows here
+        code, out, err = run_cli(capsys, "gamma", *GAMMA_GOLDEN[golden])
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
 class TestVerifyCarlson:
     def test_small_fuzz_passes(self, capsys):
         code, out, _ = run_cli(
@@ -152,6 +170,13 @@ class TestMilin:
         code, out, _ = run_cli(capsys, "milin", "--function", "koebe", "--n", "5")
         assert code == 0
         assert float(out.rsplit(":", 1)[1]) == pytest.approx(0.0, abs=1e-12)
+
+
+    @pytest.mark.parametrize("function, n", [("koebe", "5"), ("identity", "7")])
+    def test_output_bytes_are_pinned(self, capsys, function, n):
+        code, out, err = run_cli(capsys, "milin", "--function", function, "--n", n)
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / f"milin_{function}_{n}.txt").read_text(encoding="utf-8")
 
 
 class TestModuleEntryPoint:

@@ -20,7 +20,8 @@ from gamma3lab import (
     triple_of_blaschke,
 )
 
-from conftest import assert_series_close, bounded_complex, sampled_product
+import reference
+from conftest import assert_series_close, bits, bounded_complex, sampled_product
 
 ALL_FAMILIES = (F1, F2, F3)
 
@@ -117,6 +118,18 @@ class TestMemberSeries:
             f = member_from_sample(family, seed=23, degree=4)
             assert abs(f.coeffs[0]) == 0.0
             assert abs(f.coeffs[1] - 1) <= 1e-12
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.tag)
+    def test_equals_the_uncached_composition_bit_for_bit(self, family):
+        # 1 and 1/h are built once per (generator, order) and shared; every
+        # call, first or repeated, must give what building them afresh gives
+        ws = [taylor_of_blaschke(sampled_product(seed, 1 + seed % 6), 10) for seed in range(6)]
+        ws.append(TruncatedSeries((-0.0, 0.5, -0.0, 0, complex(-0.0, 0.25)) + (0,) * 5))
+        for order in range(1, 11):
+            for w in ws:
+                expected = bits(reference.member_series(family, w, order))
+                assert bits(member_series(family, w, order)) == expected
+                assert bits(member_series(family, w, order)) == expected
 
     def test_requires_w_data(self):
         with pytest.raises(ValueError):

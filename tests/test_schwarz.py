@@ -30,7 +30,8 @@ from gamma3lab import (
 from gamma3lab import schwarz
 from gamma3lab.schwarz import _batch, _derive_seed, _uniforms
 
-from conftest import disk_complex, sampled_product
+import reference
+from conftest import bits, disk_complex, sampled_product
 
 
 class TestTaylorOfBlaschke:
@@ -64,11 +65,20 @@ class TestTaylorOfBlaschke:
         assert abs(t.c2 - rot * lead) <= 1e-12
         assert abs(t.c3 - rot * a.conjugate() * lead) <= 1e-12
 
+    @pytest.mark.parametrize("degree", range(1, 7))
+    def test_matches_reference_bit_for_bit(self, degree):
+        for seed in range(5):
+            for real_only in (False, True):
+                b = sampled_product(seed, degree, real_only)
+                for order in (1, 2, 3, 6, 10):
+                    w = taylor_of_blaschke(b, order)
+                    assert bits(w) == bits(reference.taylor_of_blaschke(b, order))
+
     def test_taylor_matches_direct_evaluation(self):
         b = sampled_product(11, 3)
         w = taylor_of_blaschke(b, 20)
         z = 0.3 - 0.2j
-        assert abs(w.evaluate(z) - blaschke_value(b, z)) <= 1e-9
+        assert abs(reference.evaluate(w, z) - blaschke_value(b, z)) <= 1e-9
 
 
 class TestTripleRecurrence:

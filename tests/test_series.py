@@ -1,5 +1,7 @@
 import math
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -8,15 +10,15 @@ from gamma3lab import (
     TruncatedSeries,
     ZeroConstantTerm,
     antiderivative,
-    derivative,
-    exp_series,
     log_over_z,
     multiply,
     reciprocal,
 )
 from gamma3lab.families import koebe_series
 
-from conftest import assert_series_close, normalized_series, series_strategy
+import reference
+from conftest import assert_series_close, bits, normalized_series, series_strategy
+from reference import derivative, evaluate, exp_series
 
 
 class TestMultiply:
@@ -184,11 +186,17 @@ class TestEvaluate:
         s = TruncatedSeries((1, -2, 3, 0.5j))
         z = 0.3 + 0.4j
         direct = sum(c * z**k for k, c in enumerate(s.coeffs))
-        assert abs(s.evaluate(z) - direct) <= 1e-14
+        assert abs(evaluate(s, z) - direct) <= 1e-14
 
     def test_truncate_rejects_extension(self):
         with pytest.raises(ValueError):
             TruncatedSeries((1, 2)).truncate(5)
+
+    @pytest.mark.parametrize("order", [-1, -2, -4])
+    def test_truncate_rejects_negative_order(self, order):
+        # a slice would read -2 as "drop the last coefficient"
+        with pytest.raises(ValueError, match="order must be >= 0"):
+            TruncatedSeries((1, 2, 3, 4)).truncate(order)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -201,3 +209,91 @@ class TestEvaluate:
     def test_exp_of_constant(self):
         e = exp_series(TruncatedSeries((1.0, 0, 0)))
         assert abs(e.coeffs[0] - math.e) <= 1e-12
+
+
+def _coefficient(rng: random.Random):
+    """Outside data of every kind the constructor takes: signed zeros, ints,
+    floats and complex numbers."""
+    kind = rng.randrange(6)
+    if kind == 0:
+        return complex(rng.choice((0.0, -0.0)), rng.choice((0.0, -0.0)))
+    if kind == 1:
+        return rng.randint(-3, 3)
+    if kind == 2:
+        return rng.uniform(-2.0, 2.0)
+    if kind == 3:
+        return complex(rng.choice((0.0, -0.0)), rng.uniform(-1.0, 1.0))
+    return complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+
+
+def _random_series(rng: random.Random, order: int) -> TruncatedSeries:
+    return TruncatedSeries(tuple(_coefficient(rng) for _ in range(order + 1)))
+
+
+ORDERS = range(11)
+
+
+class TestBitForBit:
+    """Every operation equals its index-loop reference bit for bit: the
+    same sums in the same order, ±0.0 included."""
+
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_constructor_coerces_outside_data(self, order):
+        rng = random.Random(order)
+        data = [_coefficient(rng) for _ in range(order + 1)]
+        assert bits(TruncatedSeries(tuple(data))) == tuple(
+            (complex(c).real.hex(), complex(c).imag.hex()) for c in data
+        )
+        assert bits(TruncatedSeries.from_polynomial(data, order + 2))[-2:] == (("0x0.0p+0",) * 2,) * 2
+
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_binary_operations(self, order):
+        rng = random.Random(100 + order)
+        for other in ORDERS:
+            for _ in range(3):
+                a, b = _random_series(rng, order), _random_series(rng, other)
+                assert bits(multiply(a, b)) == bits(reference.multiply(a, b))
+                assert bits(a + b) == bits(reference.add(a, b))
+                assert bits(a - b) == bits(reference.sub(a, b))
+
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_reciprocal(self, order):
+        rng = random.Random(200 + order)
+        for _ in range(20):
+            a = _random_series(rng, order)
+            if abs(a.coeffs[0]) <= 1e-12:
+                with pytest.raises(ZeroConstantTerm):
+                    reciprocal(a)
+                a = TruncatedSeries((rng.choice((1, -0.5, 0.5j, 2.0 - 1j)),) + a.coeffs[1:])
+            assert bits(reciprocal(a)) == bits(reference.reciprocal(a))
+
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_antiderivative_and_truncate(self, order):
+        rng = random.Random(300 + order)
+        for _ in range(10):
+            a = _random_series(rng, order)
+            assert bits(antiderivative(a)) == bits(reference.antiderivative(a))
+            for n in range(order + 1):
+                assert bits(a.truncate(n)) == bits(reference.truncate(a, n))
+
+    @pytest.mark.parametrize("order", ORDERS[1:])
+    def test_log_over_z(self, order):
+        rng = random.Random(400 + order)
+        for _ in range(10):
+            tail = _random_series(rng, order).coeffs[2:]
+            # f(0) and f'(0) may miss 0 and 1 by the normalization slack
+            head = (
+                rng.choice((0, 0.0, -0.0, complex(-0.0, 0.0), 3e-13j)),
+                rng.choice((1, 1.0, 1 - 0j, 1 + 4e-13, complex(1, -5e-13))),
+            )
+            f = TruncatedSeries(head + tail)
+            assert bits(log_over_z(f)) == bits(reference.log_over_z(f))
+
+    def test_results_hold_python_complex(self):
+        # np.complex128 is a subclass of complex, so the check is by exact type
+        a = TruncatedSeries((np.complex128(1 + 1j), np.float64(0.5), 2))
+        assert bits(a) == bits(TruncatedSeries((1 + 1j, 0.5, 2)))
+        b = TruncatedSeries.from_polynomial((np.complex128(-0.0), np.int64(3)), 3)
+        assert bits(b) == bits(TruncatedSeries.from_polynomial((-0.0, 3), 3))
+        for result in (multiply(a, b), reciprocal(a), antiderivative(b), a + b, a - b, b.truncate(1)):
+            bits(result)
