@@ -19,6 +19,7 @@ fails.  Any other error is a bug and propagates with its traceback.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -225,7 +226,15 @@ def _cmd_milin(cfg: RunConfig) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built once per process and shared.
+
+    Building it takes milliseconds, a sizeable share of an in-process
+    ``bound``, so every :func:`main` call reuses it.  It must not be
+    mutated: parsing leaves it as it is, and :class:`_Parser` raises on a
+    usage error instead of exiting.
+    """
     # options left out of a command line are absent from the namespace, so
     # their defaults are RunConfig's
     parser = _Parser(prog="gamma3lab", description=__doc__.splitlines()[0])

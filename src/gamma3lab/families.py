@@ -118,14 +118,19 @@ def _one_and_inverse(
 
 
 def gamma_sequence(f: TruncatedSeries, m: int) -> list[complex]:
-    """Logarithmic coefficients gamma_1..gamma_m of a normalized f."""
+    """Logarithmic coefficients gamma_1..gamma_m of a normalized f.
+
+    gamma_m needs f only to order m + 1, and coefficient k of the series
+    logarithm depends only on coefficients <= k + 1 of f, so the logarithm
+    of f truncated there gives the full series' values bit for bit.
+    """
     if m < 1:
         raise ValueError("m must be >= 1")
     if m > f.order - 1:
         raise NotNormalized(
             f"series of order {f.order} determines gamma_n only for n <= {f.order - 1}"
         )
-    g = log_over_z(f)
+    g = log_over_z(f.truncate(m + 1))
     return [g.coeffs[k] / 2 for k in range(1, m + 1)]
 
 

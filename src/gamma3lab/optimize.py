@@ -159,14 +159,20 @@ def _edge_point(edge: str, t: float) -> tuple[float, float]:
 
 
 def _maximize_on_unit_interval(coeffs: tuple[float, ...]) -> tuple[float, float]:
-    """(argmax, value) over [0, 1] of a polynomial of degree <= 3."""
+    """(argmax, value) over [0, 1] of a polynomial of degree <= 3.
+
+    Values come from Horner's rule in plain floats, numpy's ``polyval``
+    step for step, so they match it bit for bit.
+    """
     padded = tuple(coeffs) + (0.0,) * (4 - len(coeffs))
     roots = _quadratic_roots(padded[1], 2.0 * padded[2], 3.0 * padded[3])
     eps = 1e-12
     candidates = [0.0, 1.0] + [min(1.0, max(0.0, r)) for r in roots if -eps <= r <= 1.0 + eps]
     best_t, best_v = 0.0, -math.inf
     for t in sorted(candidates):
-        v = float(np.polynomial.polynomial.polyval(t, coeffs))
+        v = coeffs[-1] + t * 0.0
+        for c in reversed(coeffs[:-1]):
+            v = c + v * t
         if v > best_v + TOL.tie_break:
             best_t, best_v = t, v
     return (best_t, best_v)

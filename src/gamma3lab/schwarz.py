@@ -146,8 +146,14 @@ def taylor_of_blaschke(b: BlaschkeProduct, order: int) -> TruncatedSeries:
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    tail = TruncatedSeries.from_polynomial((1.0,), order - 1)
-    for a in b.zeros:
+    if b.zeros:
+        # the first factor is the series 1 times it, but for the signs of
+        # zeros: adding 0j turns each -0.0 part into +0.0, as that product does
+        first = _factor_series(b.zeros[0], order - 1).coeffs
+        tail = TruncatedSeries._of(tuple(c + 0j for c in first))
+    else:
+        tail = TruncatedSeries.from_polynomial((1.0,), order - 1)
+    for a in b.zeros[1:]:
         tail = multiply(tail, _factor_series(a, order - 1))
     rotation = b.rotation
     return TruncatedSeries._of((0j,) + tuple(rotation * c for c in tail.coeffs))

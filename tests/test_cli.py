@@ -1,6 +1,8 @@
 import contextlib
 import io
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gamma3lab import optimize
-from gamma3lab.cli import main
+from gamma3lab.cli import build_parser, main
 
 from conftest import published_f3_top
 
@@ -181,9 +183,6 @@ class TestMilin:
 
 class TestModuleEntryPoint:
     def test_python_dash_m(self):
-        import subprocess
-        import sys
-
         proc = subprocess.run(
             [sys.executable, "-m", "gamma3lab", "milin", "--n", "2"],
             capture_output=True,
@@ -191,6 +190,37 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0
         assert "milin functional" in proc.stdout
+
+    def test_bound_never_imports_numpy_polynomial(self):
+        # the edge maxima are evaluated in plain floats; numpy.polynomial
+        # is imported lazily, at a cost of milliseconds
+        code = (
+            "import sys; from gamma3lab.cli import main; "
+            "main(['bound', 'f3']); print('numpy.polynomial' in sys.modules)"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (GOLDEN / "bound_f3.txt").read_text(encoding="utf-8") + "False\n"
+
+
+class TestSharedParser:
+    def test_built_once_per_process(self):
+        assert build_parser() is build_parser()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("bound", "f9"),
+            ("search", "f1", "--max-degree", "4"),
+            ("bound", "f1", "--grid-step", "nan"),
+            (),
+        ],
+    )
+    def test_a_usage_error_leaves_it_as_it_was(self, capsys, argv):
+        assert run_cli(capsys, *argv)[0] == 1
+        code, out, err = run_cli(capsys, "bound", "f1", "--format", "json")
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / "bound_f1.json").read_text(encoding="utf-8")
 
 
 class TestUsageErrors:

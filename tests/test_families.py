@@ -157,6 +157,21 @@ class TestGammaSequence:
         with pytest.raises(NotNormalized):
             gamma_sequence(identity_series(3), 3)
 
+    def test_equals_the_full_series_logarithm_bit_for_bit(self):
+        # gamma_1..gamma_m come from the logarithm of f cut at order m + 1
+        # and must be half the whole series logarithm's coefficients
+        members = [koebe_series(8)] + [
+            member_from_sample(family, seed, 1 + seed % 6, real_only=real_only)
+            for family in ALL_FAMILIES
+            for seed in range(6)
+            for real_only in (False, True)
+        ]
+        for f in members:
+            full = reference.log_over_z(f).coeffs
+            for m in range(1, 8):
+                expected = [(g.real.hex(), g.imag.hex()) for g in (c / 2 for c in full[1:m + 1])]
+                assert [(g.real.hex(), g.imag.hex()) for g in gamma_sequence(f, m)] == expected
+
     def test_low_order_formulas_match_log_route(self):
         # gamma1 = a2/2, gamma2 = (a3 - a2^2/2)/2 and
         # gamma3 = (a4 - a2 a3 + a2^3/3)/2, as the log series forces

@@ -22,10 +22,12 @@ from gamma3lab import cli
 from gamma3lab import optimize as optimize_module
 from gamma3lab.optimize import (
     GRID_STEP,
+    PUBLISHED_F3_TOP,
     CertificationMismatch,
     _dense_grid_max,
     _edge_polynomial,
     _lattice_columns,
+    _maximize_on_unit_interval,
 )
 
 from conftest import lattice, published_f3_top
@@ -91,6 +93,14 @@ class TestEdgeMaximum:
     def test_unknown_edge(self):
         with pytest.raises(UnknownEdge):
             edge_maximum(F1, "diagonal")
+
+    def test_value_is_numpys_polyval_bit_for_bit(self):
+        # the maximum is evaluated by Horner's rule in plain floats
+        polys = [_edge_polynomial(f, e) for f in (F1, F2, F3) for e in optimize_module.EDGES]
+        for poly in polys + [PUBLISHED_F3_TOP]:
+            t, v = _maximize_on_unit_interval(poly)
+            assert type(v) is float
+            assert v.hex() == float(np.polynomial.polynomial.polyval(t, poly)).hex()
 
     def test_edge_restrictions_match_hand_substitution(self):
         # substituting y=0, x=0 and y=1-x^2 into the objectives by hand
