@@ -26,7 +26,6 @@ from .schwarz import (
     BlaschkeProduct,
     SchwarzTriple,
     ZeroOutsideDisk,
-    blaschke_value,
     carlson_check,
     is_feasible,
     sample_batch,
@@ -50,13 +49,7 @@ from .families import (
     member_series,
     milin_functional,
 )
-from .objective import (
-    RegionPoint,
-    gradient_xy,
-    hessian_xy,
-    is_negative_definite,
-    value_xy,
-)
+from .objective import RegionPoint, value_xy
 from .optimize import (
     EDGES,
     BoundReport,

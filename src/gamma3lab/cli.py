@@ -7,8 +7,10 @@ Subcommands
     search <family>           randomized lower-bound search + gap record
     milin                     Milin functional of a reference function
 
-Output is UTF-8 text (default), a single JSON object, or CSV (grid dumps
-from ``bound`` only).  Numbers print with 12 significant digits so
+Each command declares its own options, each once, with its default and
+its range; out-of-range values are usage errors reported by the parser.
+Output is UTF-8 text (default), a single JSON object, or CSV (grid dumps,
+offered by ``bound`` only).  Numbers print with 12 significant digits so
 comparison against published decimals is direct.  All randomness flows
 from ``--seed``; identical configuration gives byte-identical output.
 
@@ -23,7 +25,6 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 from . import families as fam
 from . import optimize, search, schwarz
@@ -46,21 +47,19 @@ class _Parser(argparse.ArgumentParser):
 CARLSON_MAX_DEGREE = 6
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    family: fam.Family | None = None
-    grid_step: float = 0.05
-    iterations: int = DEFAULT_ITERATIONS
-    seed: int = DEFAULT_SEED
-    real_only: bool = False
-    fmt: str = "text"
-    c1: complex = 0j
-    c2: complex = 0j
-    c3: complex = 0j
-    samples: int = 100_000
-    function: str = "koebe"
-    n: int = 3
+def _ranged(kind, low, high=math.inf):
+    """An argparse ``type`` reading a ``kind`` in [low, high].  It keeps
+    ``kind``'s name, so unreadable text still reads ``invalid int value: 'x'``."""
+
+    def convert(text):
+        value = kind(text)
+        if not low <= value <= high:  # also rejects nan
+            span = f"be >= {low:g}" if high == math.inf else f"lie in [{low:g}, {high:g}]"
+            raise argparse.ArgumentTypeError(f"must {span}")
+        return value
+
+    convert.__name__ = kind.__name__
+    return convert
 
 
 def _fmt(x: float) -> str:
@@ -97,22 +96,22 @@ def _bound_json(report: optimize.BoundReport) -> dict:
     }
 
 
-def _cmd_bound(cfg: RunConfig) -> int:
-    report = optimize.global_bound(cfg.family)
-    if cfg.fmt == "json":
+def _cmd_bound(args: argparse.Namespace) -> int:
+    report = optimize.global_bound(args.family)
+    if args.format == "json":
         _emit_json(_bound_json(report))
-    elif cfg.fmt == "csv":
+    elif args.format == "csv":
         print("x,y,value")
-        columns = optimize._lattice_columns(cfg.grid_step)
+        columns = optimize._lattice_columns(args.grid_step)
         xs, ticks, counts, tops = (a.tolist() for a in columns)
         tick_text = [_fmt(y) for y in ticks]
         # column by column, one value at a time: numpy's x ** 3 can differ
         # from Python's in the last bit
         for x, k, top in zip(xs, counts, tops):
             head = f"{_fmt(x)},"
-            rows = [f"{head}{t},{_fmt(value_xy(cfg.family, x, y))}\n"
+            rows = [f"{head}{t},{_fmt(value_xy(args.family, x, y))}\n"
                     for y, t in zip(ticks[:k], tick_text)]
-            rows.append(f"{head}{_fmt(top)},{_fmt(value_xy(cfg.family, x, top))}\n")
+            rows.append(f"{head}{_fmt(top)},{_fmt(value_xy(args.family, x, top))}\n")
             sys.stdout.write("".join(rows))
     else:
         print(f"family {report.family.tag}")
@@ -128,21 +127,25 @@ def _cmd_bound(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_gamma(cfg: RunConfig) -> int:
-    triple = schwarz.SchwarzTriple(cfg.c1, cfg.c2, cfg.c3)
-    closed = fam.gamma3_closed_form(cfg.family, triple)
-    w = TruncatedSeries.from_polynomial((0.0, cfg.c1, cfg.c2, cfg.c3), DEFAULT_ORDER)
-    f = fam.member_series(cfg.family, w, DEFAULT_ORDER)
+def _cmd_gamma(args: argparse.Namespace) -> int:
+    triple = schwarz.SchwarzTriple(args.c1, args.c2, args.c3)
+    # a component beyond 1 is infeasible, and near 1e308 it would overflow abs()
+    bounded = all(abs(c.real) <= 1.0 and abs(c.imag) <= 1.0 for c in (args.c1, args.c2, args.c3))
+    if not (bounded and schwarz.is_feasible(triple)):
+        raise _UsageError("--c1, --c2 and --c3 must be a finite Schwarz triple (Carlson's bounds)")
+    closed = fam.gamma3_closed_form(args.family, triple)
+    w = TruncatedSeries.from_polynomial((0.0, args.c1, args.c2, args.c3), DEFAULT_ORDER)
+    f = fam.member_series(args.family, w, DEFAULT_ORDER)
     oracle = fam.gamma_sequence(f, 3)[2]
     delta = abs(closed - oracle)
     ok = delta <= TOL.bound_compliance
-    if cfg.fmt == "json":
+    if args.format == "json":
         _emit_json(
             {
-                "family": cfg.family.tag,
-                "c1": _json_complex(cfg.c1),
-                "c2": _json_complex(cfg.c2),
-                "c3": _json_complex(cfg.c3),
+                "family": args.family.tag,
+                "c1": _json_complex(args.c1),
+                "c2": _json_complex(args.c2),
+                "c3": _json_complex(args.c3),
                 "closed_form": _json_complex(closed),
                 "series_oracle": _json_complex(oracle),
                 "delta": _round12(delta),
@@ -150,7 +153,7 @@ def _cmd_gamma(cfg: RunConfig) -> int:
             }
         )
     else:
-        print(f"family {cfg.family.tag}")
+        print(f"family {args.family.tag}")
         print(f"  closed_form   {_fmt(closed.real)} {closed.imag:+.12g}i")
         print(f"  series_oracle {_fmt(oracle.real)} {oracle.imag:+.12g}i")
         print(f"  delta         {_fmt(delta)}")
@@ -158,19 +161,19 @@ def _cmd_gamma(cfg: RunConfig) -> int:
     return 0 if ok else 2
 
 
-def _cmd_verify_carlson(cfg: RunConfig) -> int:
+def _cmd_verify_carlson(args: argparse.Namespace) -> int:
     worst = [math.inf] * 3
     degrees = set()
-    for batch in schwarz.sample_blocks(cfg.seed, cfg.samples, CARLSON_MAX_DEGREE, cfg.real_only):
+    for batch in schwarz.sample_blocks(args.seed, args.samples, CARLSON_MAX_DEGREE, args.real_only):
         degrees.add(batch.degree)
         slacks = schwarz.carlson_check(schwarz.triple_of_blaschke(batch))
         worst = [min(w, float(s.min(initial=math.inf))) for w, s in zip(worst, slacks)]
     ok = all(s >= -TOL.carlson_slack for s in worst)
-    if cfg.fmt == "json":
+    if args.format == "json":
         _emit_json(
             {
-                "samples": cfg.samples,
-                "seed": cfg.seed,
+                "samples": args.samples,
+                "seed": args.seed,
                 "degrees": sorted(degrees),
                 "worst_slacks": [_round12(s) for s in worst],
                 "status": "pass" if ok else "fail",
@@ -182,9 +185,9 @@ def _cmd_verify_carlson(cfg: RunConfig) -> int:
     return 0 if ok else 2
 
 
-def _cmd_search(cfg: RunConfig) -> int:
-    result = search.search_lower_bound(cfg.family, cfg.iterations, cfg.seed, cfg.real_only)
-    if cfg.fmt == "json":
+def _cmd_search(args: argparse.Namespace) -> int:
+    result = search.search_lower_bound(args.family, args.iterations, args.seed, args.real_only)
+    if args.format == "json":
         _emit_json(
             {
                 "family": result.family.tag,
@@ -216,13 +219,13 @@ def _cmd_search(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_milin(cfg: RunConfig) -> int:
-    f = fam.koebe_series(DEFAULT_ORDER) if cfg.function == "koebe" else fam.identity_series(DEFAULT_ORDER)
-    value = fam.milin_functional(f, cfg.n)
-    if cfg.fmt == "json":
-        _emit_json({"function": cfg.function, "n": cfg.n, "value": _round12(value)})
+def _cmd_milin(args: argparse.Namespace) -> int:
+    f = fam.koebe_series(DEFAULT_ORDER) if args.function == "koebe" else fam.identity_series(DEFAULT_ORDER)
+    value = fam.milin_functional(f, args.n)
+    if args.format == "json":
+        _emit_json({"function": args.function, "n": args.n, "value": _round12(value)})
     else:
-        print(f"milin functional of {cfg.function} at n={cfg.n}: {_fmt(value)}")
+        print(f"milin functional of {args.function} at n={args.n}: {_fmt(value)}")
     return 0
 
 
@@ -235,80 +238,52 @@ def build_parser() -> _Parser:
     mutated: parsing leaves it as it is, and :class:`_Parser` raises on a
     usage error instead of exiting.
     """
-    # options left out of a command line are absent from the namespace, so
-    # their defaults are RunConfig's
     parser = _Parser(prog="gamma3lab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_command(name, summary, family=True):
-        p = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
+    def add_command(name, summary, handler, family=True, csv=False):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler)
         if family:
             p.add_argument("family", choices=["f1", "f2", "f3"])
-        p.add_argument("--format", dest="fmt", choices=["text", "json", "csv"])
+        formats = ["text", "json", "csv"] if csv else ["text", "json"]
+        p.add_argument("--format", choices=formats, default="text")
         return p
 
-    p_bound = add_command("bound", "certified maximization report")
-    p_bound.add_argument("--grid-step", type=float, help="lattice step of the csv dump")
+    p_bound = add_command("bound", "certified maximization report", _cmd_bound, csv=True)
+    p_bound.add_argument("--grid-step", type=_ranged(float, optimize.GRID_STEP, 0.1),
+                         default=0.05, help="lattice step of the csv dump")
 
-    p_gamma = add_command("gamma", "closed form vs series oracle")
-    p_gamma.add_argument("--c1", type=complex)
-    p_gamma.add_argument("--c2", type=complex)
-    p_gamma.add_argument("--c3", type=complex)
+    p_gamma = add_command("gamma", "closed form vs series oracle", _cmd_gamma)
+    for name in ("--c1", "--c2", "--c3"):
+        p_gamma.add_argument(name, type=complex, default=0j)
 
-    p_carlson = add_command("verify-carlson", "coefficient-bound fuzzing", family=False)
-    p_carlson.add_argument("--samples", type=int)
-    p_carlson.add_argument("--seed", type=int)
+    p_carlson = add_command("verify-carlson", "coefficient-bound fuzzing", _cmd_verify_carlson,
+                            family=False)
+    p_carlson.add_argument("--samples", type=_ranged(int, 1), default=100_000)
+    p_carlson.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_carlson.add_argument("--real-only", action="store_true")
 
-    p_search = add_command("search", "extremal lower-bound search")
-    p_search.add_argument("--iterations", type=int)
-    p_search.add_argument("--seed", type=int)
+    p_search = add_command("search", "extremal lower-bound search", _cmd_search)
+    p_search.add_argument("--iterations", type=_ranged(int, 1), default=DEFAULT_ITERATIONS)
+    p_search.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_search.add_argument("--real-only", action="store_true")
 
-    p_milin = add_command("milin", "Milin functional of a reference function", family=False)
-    p_milin.add_argument("--function", choices=["koebe", "identity"])
-    p_milin.add_argument("--n", type=int)
+    p_milin = add_command("milin", "Milin functional of a reference function", _cmd_milin,
+                          family=False)
+    p_milin.add_argument("--function", choices=["koebe", "identity"], default="koebe")
+    p_milin.add_argument("--n", type=int, choices=range(1, DEFAULT_ORDER), default=3)
 
     return parser
-
-
-def _validate(cfg: RunConfig) -> None:
-    if cfg.fmt == "csv" and cfg.command != "bound":
-        raise _UsageError("csv output is only available for 'bound'")
-    if not optimize.GRID_STEP <= cfg.grid_step <= 0.1:
-        raise _UsageError(f"--grid-step must lie in [{optimize.GRID_STEP:g}, 0.1]")
-    coeffs = (cfg.c1, cfg.c2, cfg.c3)
-    # a component beyond 1 is infeasible, and near 1e308 it would overflow abs()
-    bounded = all(abs(c.real) <= 1.0 and abs(c.imag) <= 1.0 for c in coeffs)
-    if not (bounded and schwarz.is_feasible(schwarz.SchwarzTriple(*coeffs))):
-        raise _UsageError("--c1, --c2 and --c3 must be a finite Schwarz triple (Carlson's bounds)")
-    if cfg.iterations < 1:
-        raise _UsageError("--iterations must be >= 1")
-    if cfg.samples < 1:
-        raise _UsageError("--samples must be >= 1")
-    if not 1 <= cfg.n <= DEFAULT_ORDER - 1:
-        raise _UsageError(f"--n must lie in 1..{DEFAULT_ORDER - 1}")
-
-
-def run(cfg: RunConfig) -> int:
-    _validate(cfg)
-    handlers = {
-        "bound": _cmd_bound,
-        "gamma": _cmd_gamma,
-        "verify-carlson": _cmd_verify_carlson,
-        "search": _cmd_search,
-        "milin": _cmd_milin,
-    }
-    return handlers[cfg.command](cfg)
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = vars(parser.parse_args(argv))
+        args = parser.parse_args(argv)
         if "family" in args:
-            args["family"] = fam.family_by_tag(args["family"])
-        return run(RunConfig(**args))
+            args.family = fam.family_by_tag(args.family)
+        return args.handler(args)
     except _UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         parser.print_usage(sys.stderr)

@@ -46,27 +46,3 @@ def value_xy(family: Family, x: float, y: float) -> float:
     b = abs(w2) + abs(w12) * x
     c = w3 / (1.0 + x)
     return a + y * (b - c * y)
-
-
-def gradient_xy(family: Family, x: float, y: float) -> tuple[float, float]:
-    """Analytic partial derivatives of the objective."""
-    w0, w1, w2, w3, w12, w111 = family.gamma3_weights
-    t = y / (1.0 + x)
-    dx = abs(w1) - 2.0 * w3 * x + w3 * t * t + abs(w12) * y + 3.0 * abs(w111) * x * x
-    dy = abs(w2) - 2.0 * w3 * t + abs(w12) * x
-    return (dx, dy)
-
-
-def hessian_xy(
-    family: Family, x: float, y: float
-) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Exact second partials of the objective."""
-    _, _, _, w3, w12, w111 = family.gamma3_weights
-    hxx = -2.0 * w3 - 2.0 * w3 * y * y / (1.0 + x) ** 3 + 6.0 * abs(w111) * x
-    hxy = abs(w12) + 2.0 * w3 * y / (1.0 + x) ** 2
-    hyy = -2.0 * w3 / (1.0 + x)
-    return ((hxx, hxy), (hxy, hyy))
-
-
-def is_negative_definite(h: tuple[tuple[float, float], tuple[float, float]]) -> bool:
-    return h[0][0] < 0.0 and h[0][0] * h[1][1] - h[0][1] * h[1][0] > 0.0

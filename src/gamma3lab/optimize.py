@@ -211,9 +211,11 @@ def _lattice_columns(step: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     Column i sits at x[i] = min(i * step, 1) and holds the points
     (x[i], ticks[j]) for j < counts[i], i.e. ticks[j] = j * step
     < top[i] - 1e-12, then the top point (x[i], top[i] = 1 - x[i]^2).
-    Counts never increase with i.
+    Counts never increase with i.  There are n + 1 columns for the least
+    n with n * step >= 1 (to within 1e-9 of 1/step), so the last column
+    sits at x = 1 for every step, clipped there if n * step overshoots.
     """
-    n = round(1.0 / step)
+    n = math.ceil(1.0 / step - 1e-9)
     ticks = np.arange(n + 1) * step
     x = np.minimum(ticks, 1.0)
     top = 1.0 - x * x

@@ -22,8 +22,7 @@ same lines of arithmetic.  Samplers are pure functions of their seed:
 :func:`sample_batch` maps one stdlib stream to a batch,
 :func:`_stream_uniforms` draws one stream's uniforms in blocks of bounded
 size, and :func:`sample_blocks` draws products of cycling degrees that
-way.  :func:`blaschke_value` evaluates a product directly, the reference
-that its Taylor series is checked against.
+way.
 """
 
 from __future__ import annotations
@@ -117,14 +116,6 @@ class BlaschkeBatch:
     def product(self, j: int) -> BlaschkeProduct:
         """Product j, with exactly the numbers of the batch."""
         return BlaschkeProduct(tuple(a[j] for a in self.zeros), self.rotation[j])
-
-
-def blaschke_value(b: BlaschkeProduct, z: complex) -> complex:
-    """Evaluate the product directly (no series truncation)."""
-    w = b.rotation * z
-    for a in b.zeros:
-        w *= (z - a) / (1.0 - a.conjugate() * z)
-    return w
 
 
 def _factor_series(alpha: complex, order: int) -> TruncatedSeries:

@@ -1,4 +1,5 @@
-"""Test-only references for the series arithmetic.
+"""Test-only references: the series arithmetic, and helpers with no caller
+in the program.
 
 The index-loop bodies below are the plain definitions of the operations in
 :mod:`gamma3lab.series`: they read every coefficient through ``.coeffs``
@@ -8,7 +9,10 @@ program's operations must agree with them bit for bit, and so must
 below, which build every series afresh on every call.  ``evaluate``,
 ``derivative`` and ``exp_series`` have no program twin; they are the
 independent checks of ``taylor_of_blaschke``, ``antiderivative`` and
-``log_over_z``.
+``log_over_z``.  ``blaschke_value`` evaluates a Blaschke product directly,
+the reference its Taylor series is checked against; ``gradient_xy``,
+``hessian_xy`` and ``is_negative_definite`` are the objective's exact
+derivatives, which check its interior maxima.
 """
 
 import cmath
@@ -126,3 +130,35 @@ def exp_series(g: TruncatedSeries) -> TruncatedSeries:
             s += (j + 1) * g.coeffs[j + 1] * out[n - j]
         out.append(s / (n + 1))
     return TruncatedSeries(tuple(out))
+
+
+def blaschke_value(b, z: complex) -> complex:
+    """Evaluate the product directly (no series truncation)."""
+    w = b.rotation * z
+    for a in b.zeros:
+        w *= (z - a) / (1.0 - a.conjugate() * z)
+    return w
+
+
+def gradient_xy(family, x: float, y: float) -> tuple[float, float]:
+    """Analytic partial derivatives of the objective."""
+    w0, w1, w2, w3, w12, w111 = family.gamma3_weights
+    t = y / (1.0 + x)
+    dx = abs(w1) - 2.0 * w3 * x + w3 * t * t + abs(w12) * y + 3.0 * abs(w111) * x * x
+    dy = abs(w2) - 2.0 * w3 * t + abs(w12) * x
+    return (dx, dy)
+
+
+def hessian_xy(
+    family, x: float, y: float
+) -> tuple[tuple[float, float], tuple[float, float]]:
+    """Exact second partials of the objective."""
+    _, _, _, w3, w12, w111 = family.gamma3_weights
+    hxx = -2.0 * w3 - 2.0 * w3 * y * y / (1.0 + x) ** 3 + 6.0 * abs(w111) * x
+    hxy = abs(w12) + 2.0 * w3 * y / (1.0 + x) ** 2
+    hyy = -2.0 * w3 / (1.0 + x)
+    return ((hxx, hxy), (hxy, hyy))
+
+
+def is_negative_definite(h: tuple[tuple[float, float], tuple[float, float]]) -> bool:
+    return h[0][0] < 0.0 and h[0][0] * h[1][1] - h[0][1] * h[1][0] > 0.0

@@ -22,11 +22,8 @@ from gamma3lab import (
     gamma3_closed_form,
     gamma_sequence,
     global_bound,
-    gradient_xy,
-    hessian_xy,
     identity_series,
     interior_critical_points,
-    is_negative_definite,
     koebe_series,
     member_series,
     milin_functional,
@@ -40,6 +37,7 @@ from gamma3lab.cli import main as cli_main
 from gamma3lab.search import REMARK_VALUES
 
 from conftest import sampled_product
+from reference import gradient_xy, hessian_xy, is_negative_definite
 
 ALL_FAMILIES = (F1, F2, F3)
 ORACLE_SAMPLES_PER_FAMILY = 10_000

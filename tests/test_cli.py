@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from gamma3lab import optimize
 from gamma3lab.cli import build_parser, main
+from gamma3lab.config import DEFAULT_ITERATIONS, DEFAULT_SEED
 
 from conftest import published_f3_top
 
@@ -221,6 +222,47 @@ class TestSharedParser:
         code, out, err = run_cli(capsys, "bound", "f1", "--format", "json")
         assert (code, err) == (0, "")
         assert out == (GOLDEN / "bound_f1.json").read_text(encoding="utf-8")
+
+
+class TestParserDeclarations:
+    @pytest.mark.parametrize(
+        "argv, defaults",
+        [
+            (["search", "f1"], {"iterations": DEFAULT_ITERATIONS, "seed": DEFAULT_SEED}),
+            (["verify-carlson"], {"samples": 100_000, "seed": DEFAULT_SEED, "real_only": False}),
+            (["bound", "f1"], {"grid_step": 0.05, "format": "text"}),
+            (["milin"], {"function": "koebe", "n": 3}),
+            (["gamma", "f1"], {"c1": 0j, "c2": 0j, "c3": 0j}),
+        ],
+    )
+    def test_defaults_are_the_documented_ones(self, argv, defaults):
+        args = vars(build_parser().parse_args(argv))
+        assert {k: args[k] for k in defaults} == defaults
+
+    @pytest.mark.parametrize("command", ["bound", "gamma", "verify-carlson", "search", "milin"])
+    def test_only_bound_offers_csv(self, capsys, command):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert ("csv" in capsys.readouterr().out) == (command == "bound")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("search", "f1", "--iterations", "0"),
+            ("verify-carlson", "--samples", "0"),
+            ("milin", "--n", "0"),
+            ("milin", "--n", "8"),
+        ],
+    )
+    def test_out_of_range_values_name_their_option(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert f"argument {argv[-2]}:" in err
+
+    def test_unreadable_integer_keeps_its_wording(self, capsys):
+        code, out, err = run_cli(capsys, "search", "f1", "--iterations", "x")
+        assert (code, out) == (1, "")
+        assert "argument --iterations: invalid int value: 'x'" in err
 
 
 class TestUsageErrors:

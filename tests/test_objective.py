@@ -15,13 +15,13 @@ from gamma3lab import (
     carlson_check,
     gamma3_closed_form,
     global_bound,
-    gradient_xy,
     triple_of_blaschke,
     value_xy,
 )
 from gamma3lab.optimize import _edge_polynomial
 
 from conftest import lattice, sampled_product
+from reference import gradient_xy
 
 ALL_FAMILIES = (F1, F2, F3)
 

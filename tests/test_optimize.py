@@ -13,9 +13,7 @@ from gamma3lab import (
     UnknownEdge,
     edge_maximum,
     global_bound,
-    hessian_xy,
     interior_critical_points,
-    is_negative_definite,
     value_xy,
 )
 from gamma3lab import cli
@@ -31,6 +29,7 @@ from gamma3lab.optimize import (
 )
 
 from conftest import lattice, published_f3_top
+from reference import hessian_xy, is_negative_definite
 
 X2 = (4 - math.sqrt(7)) / 6
 Y2 = (47 - 14 * math.sqrt(7)) / 108
@@ -225,7 +224,7 @@ class TestBoundReportInvariants:
 def _column_loop(step):
     """The lattice of E, one column and one point at a time."""
     points = []
-    for i in range(round(1.0 / step) + 1):
+    for i in range(math.ceil(1.0 / step - 1e-9) + 1):
         x = min(i * step, 1.0)
         ymax = 1.0 - x * x
         ys = [j * step for j in range(int(ymax / step) + 1) if j * step < ymax - 1e-12]
@@ -238,6 +237,16 @@ class TestLattice:
     def test_matches_the_column_loop(self, step):
         xs, ys = lattice(step)
         assert list(zip(xs.tolist(), ys.tolist())) == _column_loop(step)
+
+    @pytest.mark.parametrize("step", [0.1, 0.05, 0.03, 0.007, 0.0013, 0.001])
+    def test_last_column_is_x_equal_one(self, capsys, step):
+        # round(1/step) steps stopped short of x = 1 at 0.03 and 0.0013
+        x, _, counts, top = _lattice_columns(step)
+        assert (x[-1], top[-1], counts[-1]) == (1.0, 0.0, 0)
+        assert x[-2] < 1.0
+        if step >= 0.007:  # the finer dumps print 4e5 rows and more
+            assert cli.main(["bound", "f1", "--format", "csv", "--grid-step", str(step)]) == 0
+            assert capsys.readouterr().out.splitlines()[-1].startswith("1,0,")
 
     @pytest.mark.parametrize("step", [0.1, 0.007])
     def test_csv_dump_walks_the_lattice(self, capsys, step):

@@ -16,7 +16,6 @@ from gamma3lab import (
     BlaschkeProduct,
     SchwarzTriple,
     ZeroOutsideDisk,
-    blaschke_value,
     carlson_check,
     gamma3_closed_form,
     is_feasible,
@@ -31,6 +30,7 @@ from gamma3lab import schwarz
 from gamma3lab.schwarz import _batch, _derive_seed, _uniforms
 
 import reference
+from reference import blaschke_value
 from conftest import bits, disk_complex, sampled_product
 
 
