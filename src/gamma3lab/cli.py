@@ -37,10 +37,20 @@ class _UsageError(Exception):
     pass
 
 
+class _ParserExit(Exception):
+    """argparse ended the run itself (``--help``), with this exit status."""
+
+
 class _Parser(argparse.ArgumentParser):
     # usage problems must exit 1, not argparse's default 2
     def error(self, message: str):
         raise _UsageError(message)
+
+    # --help ends in a status that main returns, like every other outcome, not in sys.exit
+    def exit(self, status: int = 0, message: str | None = None):
+        if message:
+            sys.stderr.write(message)
+        raise _ParserExit(status)
 
 
 #: Products of ``verify-carlson`` cycle through the degrees 1..CARLSON_MAX_DEGREE.
@@ -134,8 +144,9 @@ def _cmd_gamma(args: argparse.Namespace) -> int:
     if not (bounded and schwarz.is_feasible(triple)):
         raise _UsageError("--c1, --c2 and --c3 must be a finite Schwarz triple (Carlson's bounds)")
     closed = fam.gamma3_closed_form(args.family, triple)
-    w = TruncatedSeries.from_polynomial((0.0, args.c1, args.c2, args.c3), DEFAULT_ORDER)
-    f = fam.member_series(args.family, w, DEFAULT_ORDER)
+    # gamma_3 reads f up to z^(3 + 1), which reads w up to z^3
+    w = TruncatedSeries.from_polynomial((0.0, args.c1, args.c2, args.c3), 3)
+    f = fam.member_series(args.family, w, 3 + 1)
     oracle = fam.gamma_sequence(f, 3)[2]
     delta = abs(closed - oracle)
     ok = delta <= TOL.bound_compliance
@@ -284,6 +295,8 @@ def main(argv: list[str] | None = None) -> int:
         if "family" in args:
             args.family = fam.family_by_tag(args.family)
         return args.handler(args)
+    except _ParserExit as exc:
+        return exc.args[0]
     except _UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         parser.print_usage(sys.stderr)

@@ -306,5 +306,5 @@ def carlson_check(c: SchwarzTriple) -> tuple[float, float, float]:
     return (s1, s2, s3)
 
 
-def is_feasible(c: SchwarzTriple, slack: float = TOL.carlson_slack) -> bool:
-    return all(s >= -slack for s in carlson_check(c))
+def is_feasible(c: SchwarzTriple) -> bool:
+    return all(s >= -TOL.carlson_slack for s in carlson_check(c))

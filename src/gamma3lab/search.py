@@ -17,15 +17,17 @@ objective of :mod:`gamma3lab.objective` at (|a|, (1 - |a|^2)|b|) bounds
 the value at the best eta from above and needs only the radii, so a point
 is evaluated only if that majorant reaches the tenth-best value kept so
 far; while fewer than ten are kept, a block seeds that floor with the
-exact values at its ten largest majorants.  No point of the overall top
-ten is skipped, so the ten best are those of evaluating every point.
-They are refined in lockstep by moving a or b by +-step (and +-i step
-unless real-only), keeping each one's best move of a round and halving
-its step after a round without progress.  The best point becomes one
-witness (:func:`gamma3lab.schwarz.schur_witness`), a degree-3 product
-whose zeros are real or a conjugate pair in real-only searches.  Its recurrence value
-is reported, and its series value must match the Schur value.  The proved
-bound is certified once per family per process.
+exact values at its ten largest majorants.  One running top ten takes in
+each block's evaluated points, and no point of the overall top ten is
+skipped, so the ten best are those of evaluating every point.  They are
+refined in lockstep by moving a or b by +-step (and +-i step unless
+real-only), keeping each one's best move of a round and halving its step
+after a round without progress; the refinement budget is split evenly,
+and its remainder goes to the first candidates in top order.  The best
+point becomes one witness (:func:`gamma3lab.schwarz.schur_witness`), a
+degree-3 product whose zeros are real or a conjugate pair in real-only
+searches.  Its series value must match the Schur value, and is reported.
+The proved bound is certified once per family per process.
 
 Whether the general (complex a2) upper bounds are attained is open; a
 result's gap quantifies the remaining interval without drawing conclusions.
@@ -53,7 +55,6 @@ from .schwarz import (
     schur_triple,
     schur_witness,
     taylor_of_blaschke,
-    triple_of_blaschke,
 )
 
 
@@ -157,11 +158,12 @@ def _top_candidates(values: np.ndarray) -> np.ndarray:
     return tied_or_above[np.argsort(-values[tied_or_above], kind="stable")][:k]
 
 
-def _refine(family: Family, a, b, values, budget: int, real_only: bool):
+def _refine(family: Family, a, b, values, budget: int | np.ndarray, real_only: bool):
     """Coordinate search from every (a[i], b[i]) at once, one evaluation per round.
 
-    A row skips moves that leave the bidisk, evaluates no more than is left of
-    its budget and takes its first best move.  Returns (a, b, value, used).
+    ``budget`` caps the evaluations of every row, or of each row when it is an
+    array.  A row skips moves that leave the bidisk, evaluates no more than is
+    left of its cap and takes its first best move.  Returns (a, b, value, used).
     """
     directions = np.array([1, -1] if real_only else [1, -1, 1j, -1j])
     m = len(directions)
@@ -197,46 +199,37 @@ def search_lower_bound(
     """Best |gamma_3| witness over the Schur parameters (a, b).
 
     ``iterations`` is the total evaluation budget; 70% goes to global
-    sampling, the rest to refining the top candidates.  Deterministic for
-    fixed arguments.
+    sampling, the rest to refining the top candidates, split evenly with
+    the remainder to the first in top order.  The reported value is the
+    witness's series value, checked against its Schur value.
+    Deterministic for fixed arguments.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     upper_bound = _proved_bound(family)
     n_global = max(1, round(_GLOBAL_FRACTION * iterations))
     # the zeros of a degree-3 batch, without its rotation, have the law wanted for (a, b);
-    # only rows whose majorant reaches the running tenth-best value are evaluated, a block's
-    # best of them survive in index order, and their best are the overall best
-    survivors, kept = [], np.empty(0)
+    # values, a, b are the top ten so far by (-value, index); a block's rows whose majorant
+    # reaches their tenth-best value come after them in index order, so position is index
+    values = a = b = np.empty(0)
     for u in _stream_uniforms(_derive_seed(seed, 3), 3, n_global, real_only):
         u = u[:-1]  # the zeros' rows, without the rotation's
         bound = _majorant(family, u, real_only)
-        floor = _floor(kept)
+        floor = _floor(values)
         if floor == -np.inf:  # the exact values at the block's largest majorants give one
             first = _schur_value(family, *_zeros(u[:, _top_candidates(bound)], real_only))
-            floor = _floor(np.concatenate([kept, first]))
-        rows = np.flatnonzero(bound >= floor)
-        if len(rows):
-            a, b = _zeros(u[:, rows], real_only)
-            values = _schur_value(family, a, b)
-            keep = np.sort(_top_candidates(values))
-            survivors.append((values[keep], a[keep], b[keep]))
-            kept = np.concatenate([kept, values[keep]])
-    values, a, b = (np.concatenate(arrays) for arrays in zip(*survivors))
-    top = _top_candidates(values)
-    a, b, values = a[top], b[top], values[top]
+            floor = _floor(np.concatenate([values, first]))
+        block_a, block_b = _zeros(u[:, bound >= floor], real_only)
+        values = np.concatenate([values, _schur_value(family, block_a, block_b)])
+        a, b = np.concatenate([a, block_a]), np.concatenate([b, block_b])
+        top = _top_candidates(values)
+        values, a, b = values[top], a[top], b[top]
 
-    budget = iterations - n_global
-    if budget > 0:
-        # candidate i may spend min(per_candidate, what earlier ones left): all of it while
-        # anything is left, as len(top) * per_candidate <= budget unless it is 1, then none
-        per_candidate = max(1, budget // len(top))
-        ra, rb, rv, used = _refine(family, a, b, values, per_candidate, real_only)
-        refined = np.cumsum(used) - used < budget
-        a, b = np.where(refined, ra, a), np.where(refined, rb, b)
-        values = np.where(refined, rv, values)
+    budget, k = iterations - n_global, len(values)
+    caps = budget // k + (np.arange(k) < budget % k)
+    a, b, values, _ = _refine(family, a, b, values, caps, real_only)
     best = int(np.argmax(values))  # the first candidate, in top order, with the best value
-    best_value, best_a, best_b = float(values[best]), complex(a[best]), complex(b[best])
+    best_a, best_b, schur = complex(a[best]), complex(b[best]), float(values[best])
 
     p = gamma3_closed_form(family, schur_triple(best_a, best_b, 0.0))
     p = p + (p == 0)  # eta = 1 where P = 0
@@ -244,13 +237,13 @@ def search_lower_bound(
     w = taylor_of_blaschke(witness, 3)
     series = abs(gamma3_closed_form(family, SchwarzTriple(*w.coeffs[1:])))
     # a search value may exceed the proved bound by this much, so the witness may not drift further
-    if abs(best_value - series) > TOL.bound_compliance:
+    if abs(schur - series) > TOL.bound_compliance:
         raise WitnessMismatch(
-            f"Schur value {best_value!r} disagrees with the series value {series!r} of {witness!r}"
+            f"Schur value {schur!r} disagrees with the series value {series!r} of {witness!r}"
         )
     return SearchResult(
         family=family,
-        best_value=abs(gamma3_closed_form(family, triple_of_blaschke(witness))),
+        best_value=series,
         witness=witness,
         iterations=iterations,
         real_only=real_only,

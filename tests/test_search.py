@@ -186,13 +186,15 @@ class TestSearchLowerBound:
         assert worst <= 1e-15
 
     def test_candidates_share_the_budget_in_top_order(self, monkeypatch):
-        # below ten evaluations per candidate, only the first ones refine
+        # an even split whose remainder goes to the first candidates, for budgets below, at
+        # and above the number of candidates, with a remainder (45, 2005) and without
         seen = {}
         lockstep, witness = search._refine, search.schur_witness
 
         def spy_refine(family, a, b, values, budget, real_only):
-            seen["start"] = (a, b, values, budget)
-            return lockstep(family, a, b, values, budget, real_only)
+            refined = lockstep(family, a, b, values, budget, real_only)
+            seen["refine"] = (a, b, values, budget), refined
+            return refined
 
         def spy_witness(a, b, eta):
             seen["best"] = (a, b)
@@ -200,22 +202,23 @@ class TestSearchLowerBound:
 
         monkeypatch.setattr(search, "_refine", spy_refine)
         monkeypatch.setattr(search, "schur_witness", spy_witness)
-        for iterations in (4, 10, 13, 20, 400):
+        for iterations in (4, 10, 13, 20, 33, 45, 400, 2005):
+            budget = iterations - round(0.7 * iterations)
             for seed in range(1, 13):
                 search_lower_bound(F1, iterations, seed)
-                a, b, values, per_candidate = seen["start"]
-                remaining = iterations - round(0.7 * iterations)
-                best = (values[0], a[0], b[0])
-                for j in range(len(a)):
-                    if remaining <= 0:
-                        break
-                    ra, rb, rv, used = _reference_refine(
-                        F1, complex(a[j]), complex(b[j]), float(values[j]),
-                        min(per_candidate, remaining), False,
+                (a, b, values, caps), refined = seen["refine"]
+                assert caps.sum() == budget
+                best = (-np.inf, None, None)
+                for j, row in enumerate(zip(*refined)):
+                    cap = budget // len(a) + (j < budget % len(a))
+                    assert caps[j] == cap
+                    ref = _reference_refine(
+                        F1, complex(a[j]), complex(b[j]), float(values[j]), cap, False
                     )
-                    remaining -= used
-                    if rv > best[0]:
-                        best = (rv, ra, rb)
+                    assert row[3] == ref[3]
+                    assert max(abs(row[i] - ref[i]) for i in range(3)) <= 1e-15
+                    if ref[2] > best[0]:
+                        best = (ref[2], ref[0], ref[1])
                 assert abs(seen["best"][0] - best[1]) <= 1e-15
                 assert abs(seen["best"][1] - best[2]) <= 1e-15
 
