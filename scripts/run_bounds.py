@@ -17,7 +17,7 @@ def main() -> None:
     print("-" * len(header))
     for tag in ("f1", "f2", "f3"):
         report = global_bound(FAMILIES[tag])
-        interior = max(v for _, v in report.interior_points)
+        interior = max(v for _, _, v in report.interior_points)
         best_edge = max(v for _, _, v in report.edge_maxima)
         print(
             f"{report.family.tag:<8}{interior:>16.10f}{best_edge:>14.8f}"

@@ -27,9 +27,8 @@ from .schwarz import (
     SchwarzTriple,
     ZeroOutsideDisk,
     carlson_check,
-    is_feasible,
-    sample_batch,
     sample_blocks,
+    schur_parameters,
     schur_triple,
     schur_witness,
     taylor_of_blaschke,
@@ -49,7 +48,7 @@ from .families import (
     member_series,
     milin_functional,
 )
-from .objective import RegionPoint, value_xy
+from .objective import value_xy
 from .optimize import (
     EDGES,
     BoundReport,

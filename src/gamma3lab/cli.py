@@ -92,8 +92,8 @@ def _bound_json(report: optimize.BoundReport) -> dict:
     return {
         "family": report.family.tag,
         "interior_points": [
-            {"x": _round12(p.x), "y": _round12(p.y), "value": _round12(v)}
-            for p, v in report.interior_points
+            {"x": _round12(x), "y": _round12(y), "value": _round12(v)}
+            for x, y, v in report.interior_points
         ],
         "edge_maxima": [
             {"edge": e, "argmax": _round12(t), "value": _round12(v)}
@@ -125,8 +125,8 @@ def _cmd_bound(args: argparse.Namespace) -> int:
             sys.stdout.write("".join(rows))
     else:
         print(f"family {report.family.tag}")
-        for p, v in report.interior_points:
-            print(f"  interior critical point ({_fmt(p.x)}, {_fmt(p.y)})  value {_fmt(v)}")
+        for x, y, v in report.interior_points:
+            print(f"  interior critical point ({_fmt(x)}, {_fmt(y)})  value {_fmt(v)}")
         for e, t, v in report.edge_maxima:
             print(f"  edge {e:<6} argmax {_fmt(t)}  value {_fmt(v)}")
         print(f"  global max   {_fmt(report.global_max)}")
@@ -141,8 +141,10 @@ def _cmd_gamma(args: argparse.Namespace) -> int:
     triple = schwarz.SchwarzTriple(args.c1, args.c2, args.c3)
     # a component beyond 1 is infeasible, and near 1e308 it would overflow abs()
     bounded = all(abs(c.real) <= 1.0 and abs(c.imag) <= 1.0 for c in (args.c1, args.c2, args.c3))
-    if not (bounded and schwarz.is_feasible(triple)):
-        raise _UsageError("--c1, --c2 and --c3 must be a finite Schwarz triple (Carlson's bounds)")
+    if not (bounded and all(abs(p) <= 1.0 + TOL.carlson_slack
+                            for p in schwarz.schur_parameters(triple))):
+        raise _UsageError("--c1, --c2 and --c3 must be a finite Schwarz triple "
+                          "(Schur parameters |a|, |b|, |eta| <= 1)")
     closed = fam.gamma3_closed_form(args.family, triple)
     # gamma_3 reads f up to z^(3 + 1), which reads w up to z^3
     w = TruncatedSeries.from_polynomial((0.0, args.c1, args.c2, args.c3), 3)
@@ -225,8 +227,10 @@ def _cmd_search(args: argparse.Namespace) -> int:
         if result.remark_value is not None:
             print(f"  sharp real-a2  {_fmt(result.remark_value)}")
         print(f"  gap            {_fmt(result.gap)}  (relative {_fmt(result.relative_gap)})")
-        zeros = ", ".join(f"{_fmt(z.real)}{z.imag:+.6g}i" for z in result.witness.zeros)
+        zeros = ", ".join(f"{_fmt(z.real)}{z.imag:+.12g}i" for z in result.witness.zeros)
+        rotation = result.witness.rotation
         print(f"  witness degree {result.witness.degree}  zeros [{zeros}]")
+        print(f"  witness rotation {_fmt(rotation.real)}{rotation.imag:+.12g}i")
     return 0
 
 

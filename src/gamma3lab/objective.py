@@ -22,17 +22,7 @@ anywhere.  The evaluations do not check that (x, y) lies in E.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .families import Family
-
-
-@dataclass(frozen=True)
-class RegionPoint:
-    """A point (x, y) = (|c1|, |c2|) of the feasibility region E."""
-
-    x: float
-    y: float
 
 
 def value_xy(family: Family, x: float, y: float) -> float:

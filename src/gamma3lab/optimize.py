@@ -35,7 +35,7 @@ import numpy as np
 
 from .config import TOL, VerificationFailed
 from .families import Family
-from .objective import RegionPoint, value_xy
+from .objective import value_xy
 
 
 EDGES = ("bottom", "left", "top")  # y = 0, x = 0, y = 1 - x^2
@@ -68,7 +68,7 @@ class BoundReport:
     """
 
     family: Family
-    interior_points: tuple[tuple[RegionPoint, float], ...]
+    interior_points: tuple[tuple[float, float, float], ...]  # (x, y, value)
     edge_maxima: tuple[tuple[str, float, float], ...]  # (edge, argmax, value)
     grid_max: float
 
@@ -93,7 +93,7 @@ class BoundReport:
 
     @property
     def global_max(self) -> float:
-        return max([v for _, v in self.interior_points] + [v for _, _, v in self.edge_maxima])
+        return max(v for _, _, v in (*self.interior_points, *self.edge_maxima))
 
     @property
     def gamma3_bound(self) -> float:
@@ -118,8 +118,8 @@ def _quadratic_roots(c0: float, c1: float, c2: float) -> list[float]:
     return [q / c2] if q == 0.0 else [q / c2, c0 / q]
 
 
-def interior_critical_points(family: Family) -> list[tuple[RegionPoint, float]]:
-    """All gradient zeros strictly inside E, in closed form.
+def interior_critical_points(family: Family) -> list[tuple[float, float, float]]:
+    """All gradient zeros strictly inside E, in closed form, as (x, y, value) triples.
 
     Returned sorted by value (descending), ties by smaller x then smaller y.
     """
@@ -133,8 +133,8 @@ def interior_critical_points(family: Family) -> list[tuple[RegionPoint, float]]:
     for x in _quadratic_roots(c0, c1, c2):
         y = (1.0 + x) * (p + q * x)
         if 1e-9 < x < 1.0 - 1e-9 and 1e-9 < y < 1.0 - x * x - 1e-9:
-            results.append((RegionPoint(x, y), value_xy(family, x, y)))
-    results.sort(key=lambda item: (-item[1], item[0].x, item[0].y))
+            results.append((x, y, value_xy(family, x, y)))
+    results.sort(key=lambda item: (-item[2], item[0], item[1]))
     return results
 
 
@@ -166,8 +166,7 @@ def _maximize_on_unit_interval(coeffs: tuple[float, ...]) -> tuple[float, float]
     """
     padded = tuple(coeffs) + (0.0,) * (4 - len(coeffs))
     roots = _quadratic_roots(padded[1], 2.0 * padded[2], 3.0 * padded[3])
-    eps = 1e-12
-    candidates = [0.0, 1.0] + [min(1.0, max(0.0, r)) for r in roots if -eps <= r <= 1.0 + eps]
+    candidates = [0.0, 1.0] + [r for r in roots if 0.0 < r < 1.0]
     best_t, best_v = 0.0, -math.inf
     for t in sorted(candidates):
         v = coeffs[-1] + t * 0.0

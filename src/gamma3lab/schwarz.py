@@ -11,23 +11,25 @@ witnesses are finite Blaschke products: one zero is pinned at the origin
 inside the disk, so every product is a genuine Schwarz function by
 construction.
 
-Schur's algorithm gives every triple from parameters |a|, |b| < 1 and
-|eta| <= 1 (:func:`schur_triple`); for unimodular eta,
-:func:`schur_witness` is the degree-3 product with those parameters.
+Schur's algorithm describes the triples exactly, by parameters |a|, |b|,
+|eta| <= 1 (:func:`schur_triple`, inverted by :func:`schur_parameters`);
+Carlson's third bound is the triangle inequality on |eta| <= 1.  For
+unimodular eta, :func:`schur_witness` is the degree-3 product with them.
 
 The same products come one at a time (:class:`BlaschkeProduct`) or as a
 batch of one degree (:class:`BlaschkeBatch`, one complex array per zero),
 and :func:`triple_of_blaschke` reads (c1, c2, c3) off either with the
 same lines of arithmetic.  Samplers are pure functions of their seed:
-:func:`sample_batch` maps one stdlib stream to a batch,
-:func:`_stream_uniforms` draws one stream's uniforms in blocks of bounded
-size, and :func:`sample_blocks` draws products of cycling degrees that
+:func:`_stream_uniforms` draws one stdlib stream's uniforms in blocks of
+bounded size, the search takes its (a, b) from the zeros of the degree-3
+stream, and :func:`sample_blocks` draws products of cycling degrees that
 way.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 import random
 from dataclasses import dataclass
 from typing import Iterator
@@ -110,13 +112,6 @@ class BlaschkeBatch:
     def degree(self) -> int:
         return len(self.zeros) + 1
 
-    def __len__(self) -> int:
-        return len(self.rotation)
-
-    def product(self, j: int) -> BlaschkeProduct:
-        """Product j, with exactly the numbers of the batch."""
-        return BlaschkeProduct(tuple(a[j] for a in self.zeros), self.rotation[j])
-
 
 def _factor_series(alpha: complex, order: int) -> TruncatedSeries:
     # (z - a)/(1 - conj(a) z) = -a + sum_{k>=1} conj(a)^(k-1) (1 - |a|^2) z^k
@@ -179,6 +174,24 @@ def schur_triple(a: complex, b: complex, eta: complex) -> SchwarzTriple:
     return SchwarzTriple(a, ka * b, ka * (kb * eta - a.conjugate() * b * b))
 
 
+def schur_parameters(c: SchwarzTriple) -> tuple[complex, complex, complex]:
+    """The Schur parameters (a, b, eta) of a scalar triple, inverting :func:`schur_triple`:
+
+    a = c1, b = c2/(1 - |a|^2), eta = (c3/(1 - |a|^2) + conj(a) b^2)/(1 - |b|^2).
+    The triple begins a Schwarz function exactly when |a|, |b|, |eta| <= 1.
+    |a| = 1 forces c2 = c3 = 0, and |b| = 1 forces c3 = -conj(a) b^2 (1 - |a|^2):
+    a parameter left free then reads 0, and one whose forced value fails reads inf.
+    """
+    a, inf = c.c1, complex(math.inf)
+    ka = 1.0 - (a * a.conjugate()).real
+    if ka == 0.0:
+        return a, (inf if c.c2 else 0j), (inf if c.c3 else 0j)
+    b = c.c2 / ka
+    kb = 1.0 - (b * b.conjugate()).real
+    r = c.c3 / ka + a.conjugate() * b * b
+    return a, b, (r / kb if kb != 0.0 else (inf if r else 0j))
+
+
 def schur_witness(a: complex, b: complex, eta: complex) -> BlaschkeProduct:
     """The degree-3 product with Schur parameters a, b and unimodular eta.
 
@@ -229,25 +242,11 @@ def _radii(u: np.ndarray, real_only: bool) -> np.ndarray:
 
 
 def _batch(u: np.ndarray, real_only: bool) -> BlaschkeBatch:
-    """The products drawn by the columns of ``u``; rotations are +-1 when real."""
+    """The products drawn by the columns of ``u``: zeros area-uniform on the disk and
+    rotations uniform on the circle, or zeros uniform on (-1, 1) and rotations +-1 when real."""
     r = u[-1]
     rotation = np.where(r < 0.5, 1.0, -1.0) + 0j if real_only else np.exp(2j * np.pi * r)
     return BlaschkeBatch(_zeros(u[:-1], real_only), rotation)
-
-
-def sample_batch(seed: int, degree: int, n: int, real_only: bool = False) -> BlaschkeBatch:
-    """n deterministic random Blaschke products of the given degree.
-
-    Complex zeros are area-uniform on the open disk (radius = sqrt(u));
-    the rotation is uniform on the circle.  With ``real_only`` the zeros
-    are uniform on (-1, 1) and the rotation is +-1, which makes all Taylor
-    coefficients real.  All uniforms come from one ``random.Random(seed)``
-    stream, so the first m products do not depend on n >= m.
-    """
-    if degree < 1:
-        raise ValueError("degree must be >= 1")
-    data = random.Random(seed).randbytes(8 * n * _draws(degree, real_only))
-    return _batch(_uniforms(data, degree, real_only), real_only)
 
 
 def _derive_seed(master: int, index: int) -> int:
@@ -262,11 +261,11 @@ BLOCK_ROWS = 10_000
 def _stream_uniforms(
     seed: int, degree: int, n: int, real_only: bool = False
 ) -> Iterator[np.ndarray]:
-    """The uniforms of ``sample_batch(seed, degree, n, real_only)``, in
-    consecutive blocks of at most ``BLOCK_ROWS`` columns (products).
+    """The uniforms of n products of one degree from one ``random.Random(seed)``
+    stream, in consecutive blocks of at most ``BLOCK_ROWS`` columns (products).
 
-    Each block continues the one ``random.Random(seed)`` stream where the
-    previous one stopped, so the columns are the columns of the single batch.
+    Each block continues the stream where the previous one stopped, so the
+    first m columns do not depend on n >= m.
     """
     rng = random.Random(seed)
     for start in range(0, n, BLOCK_ROWS):
@@ -304,7 +303,3 @@ def carlson_check(c: SchwarzTriple) -> tuple[float, float, float]:
     s2 = (1.0 - x1 * x1) - x2
     s3 = (1.0 - x1 * x1 - x2 * x2 / (1.0 + x1)) - x3
     return (s1, s2, s3)
-
-
-def is_feasible(c: SchwarzTriple) -> bool:
-    return all(s >= -TOL.carlson_slack for s in carlson_check(c))

@@ -158,26 +158,26 @@ def _top_candidates(values: np.ndarray) -> np.ndarray:
     return tied_or_above[np.argsort(-values[tied_or_above], kind="stable")][:k]
 
 
-def _refine(family: Family, a, b, values, budget: int | np.ndarray, real_only: bool):
+def _refine(family: Family, a, b, values, caps: np.ndarray, real_only: bool):
     """Coordinate search from every (a[i], b[i]) at once, one evaluation per round.
 
-    ``budget`` caps the evaluations of every row, or of each row when it is an
-    array.  A row skips moves that leave the bidisk, evaluates no more than is
-    left of its cap and takes its first best move.  Returns (a, b, value, used).
+    ``caps[i]`` caps the evaluations of row i.  A row skips moves that leave
+    the bidisk, evaluates no more than is left of its cap and takes its
+    first best move.  Returns (a, b, value, used).
     """
     directions = np.array([1, -1] if real_only else [1, -1, 1j, -1j])
     m = len(directions)
     step = np.full(len(a), _INITIAL_STEP)
     used = np.zeros(len(a), dtype=int)
     for _ in range(_REFINE_ROUNDS):
-        live = (used < budget) & (step >= 1e-12)
+        live = (used < caps) & (step >= 1e-12)
         if not live.any():
             break
         shift = step[:, None] * directions
         ma = np.concatenate([a[:, None] + shift, np.repeat(a[:, None], m, 1)], axis=1)
         mb = np.concatenate([np.repeat(b[:, None], m, 1), b[:, None] + shift], axis=1)
         valid = np.maximum(abs(ma), abs(mb)) < 1.0 - 1e-9
-        tried = valid & live[:, None] & (valid.cumsum(axis=1) <= (budget - used)[:, None])
+        tried = valid & live[:, None] & (valid.cumsum(axis=1) <= (caps - used)[:, None])
         v = np.full(ma.shape, -np.inf)
         v[tried] = _schur_value(family, ma[tried], mb[tried])
         used += tried.sum(axis=1)

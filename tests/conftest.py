@@ -3,8 +3,9 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
-from gamma3lab import TruncatedSeries, sample_batch
+from gamma3lab import TruncatedSeries
 from gamma3lab.optimize import PUBLISHED_F3_TOP, _edge_polynomial, _lattice_columns
+from reference import row, sample_batch
 
 
 def assert_series_close(a: TruncatedSeries, b: TruncatedSeries, tol: float = 1e-12):
@@ -23,7 +24,7 @@ def bits(s: TruncatedSeries) -> tuple[tuple[str, str], ...]:
 
 def sampled_product(seed: int, degree: int, real_only: bool = False):
     """One seeded Blaschke product: the one-row batch of ``sample_batch``."""
-    return sample_batch(seed, degree, 1, real_only).product(0)
+    return row(sample_batch(seed, degree, 1, real_only), 0)
 
 
 def bounded_complex(radius: float = 1.0):

@@ -12,12 +12,24 @@ independent checks of ``taylor_of_blaschke``, ``antiderivative`` and
 ``log_over_z``.  ``blaschke_value`` evaluates a Blaschke product directly,
 the reference its Taylor series is checked against; ``gradient_xy``,
 ``hessian_xy`` and ``is_negative_definite`` are the objective's exact
-derivatives, which check its interior maxima.
+derivatives, which check its interior maxima.  ``sample_batch`` draws a
+whole batch from one stream at once, the one-shot reference that the
+program's blocked streams are checked against, and ``row`` reads one
+product out of a batch.
 """
 
 import cmath
+import random
 
-from gamma3lab import TOL, NotNormalized, TruncatedSeries, ZeroConstantTerm
+from gamma3lab import (
+    TOL,
+    BlaschkeBatch,
+    BlaschkeProduct,
+    NotNormalized,
+    TruncatedSeries,
+    ZeroConstantTerm,
+)
+from gamma3lab.schwarz import _batch, _draws, _uniforms
 
 
 def truncate(a: TruncatedSeries, order: int) -> TruncatedSeries:
@@ -162,3 +174,23 @@ def hessian_xy(
 
 def is_negative_definite(h: tuple[tuple[float, float], tuple[float, float]]) -> bool:
     return h[0][0] < 0.0 and h[0][0] * h[1][1] - h[0][1] * h[1][0] > 0.0
+
+
+def sample_batch(seed: int, degree: int, n: int, real_only: bool = False) -> BlaschkeBatch:
+    """n deterministic random Blaschke products of the given degree.
+
+    Complex zeros are area-uniform on the open disk (radius = sqrt(u));
+    the rotation is uniform on the circle.  With ``real_only`` the zeros
+    are uniform on (-1, 1) and the rotation is +-1, which makes all Taylor
+    coefficients real.  All uniforms come from one ``random.Random(seed)``
+    stream, so the first m products do not depend on n >= m.
+    """
+    if degree < 1:
+        raise ValueError("degree must be >= 1")
+    data = random.Random(seed).randbytes(8 * n * _draws(degree, real_only))
+    return _batch(_uniforms(data, degree, real_only), real_only)
+
+
+def row(batch: BlaschkeBatch, j: int) -> BlaschkeProduct:
+    """Product j of a batch, with exactly the numbers of the batch."""
+    return BlaschkeProduct(tuple(a[j] for a in batch.zeros), batch.rotation[j])

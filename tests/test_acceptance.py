@@ -37,7 +37,7 @@ from gamma3lab.cli import main as cli_main
 from gamma3lab.search import REMARK_VALUES
 
 from conftest import sampled_product
-from reference import gradient_xy, hessian_xy, is_negative_definite
+from reference import gradient_xy, hessian_xy, is_negative_definite, row
 
 ALL_FAMILIES = (F1, F2, F3)
 ORACLE_SAMPLES_PER_FAMILY = 10_000
@@ -55,7 +55,7 @@ def family_products():
     out = {}
     for offset, family in enumerate(ALL_FAMILIES):
         blocks = sample_blocks(1_000_000 * (offset + 1), ORACLE_SAMPLES_PER_FAMILY, 4)
-        out[family.tag] = [batch.product(j) for batch in blocks for j in range(len(batch))]
+        out[family.tag] = [row(batch, j) for batch in blocks for j in range(len(batch.rotation))]
     return out
 
 
@@ -99,14 +99,14 @@ def test_criterion_2_second_family_bound(bound_reports, capsys):
     r = bound_reports["F2"]
     x2 = (4 - math.sqrt(7)) / 6
     y2 = (47 - 14 * math.sqrt(7)) / 108
-    ((p, v),) = r.interior_points
+    ((x, y, v),) = r.interior_points
     edge_targets = {
         "bottom": 2 + 4 * math.sqrt(6) / 9,
         "left": 3.0,
         "top": 2 * math.sqrt(2),
     }
     checks = [
-        math.hypot(p.x - x2, p.y - y2) <= 1e-9,
+        math.hypot(x - x2, y - y2) <= 1e-9,
         abs(v - 3.10518) <= 1e-5,
         abs(r.gamma3_bound - 0.258765) <= 1e-6,
     ]
@@ -116,13 +116,13 @@ def test_criterion_2_second_family_bound(bound_reports, capsys):
         report(
             2,
             all(checks),
-            f"interior ({p.x:.9f}, {p.y:.9f}) value {v:.7f}, bound {r.gamma3_bound:.9f}",
+            f"interior ({x:.9f}, {y:.9f}) value {v:.7f}, bound {r.gamma3_bound:.9f}",
         )
 
 
 def test_criterion_3_third_family_bound(bound_reports, capsys):
     r = bound_reports["F3"]
-    ((_, v),) = r.interior_points
+    ((_, _, v),) = r.interior_points
     # independent oracle for the substituted top edge 9 + 22x - 4x^2 - 16x^3:
     # its derivative's positive root is (sqrt(67) - 1)/12
     x_star = (math.sqrt(67) - 1) / 12
@@ -257,8 +257,8 @@ def test_criterion_8_gradient_and_hessian(capsys):
             worst_hess_rel = max(worst_hess_rel, math.hypot(*errors) / scale)
     definite = []
     for family in ALL_FAMILIES:
-        ((p, _),) = interior_critical_points(family)
-        definite.append(is_negative_definite(hessian_xy(family, p.x, p.y)))
+        ((x, y, _),) = interior_critical_points(family)
+        definite.append(is_negative_definite(hessian_xy(family, x, y)))
     with capsys.disabled():
         report(
             8,

@@ -159,6 +159,23 @@ class TestSearch:
         args = ("search", "f3", "--iterations", "2000", "--seed", "4", "--format", "json")
         assert run_cli(capsys, *args) == run_cli(capsys, *args)
 
+    @pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "json")])
+    def test_output_bytes_are_pinned(self, capsys, fmt, suffix):
+        code, out, err = run_cli(capsys, "search", "f1", "--iterations", "2000", "--format", fmt)
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / f"search_f1_2000.{suffix}").read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("real_only", [(), ("--real-only",)], ids=["complex", "real-only"])
+    def test_text_witness_carries_the_json_digits(self, capsys, real_only):
+        # every part of the witness prints to 12 significant digits, rotation included
+        args = ("search", "f3", "--iterations", "300", "--seed", "5", *real_only)
+        witness = json.loads(run_cli(capsys, *args, "--format", "json")[1])["witness"]
+        lines = run_cli(capsys, *args)[1].splitlines()
+        zeros = lines[-2].split("zeros [", 1)[1].rstrip("]").split(", ")
+        rotation = lines[-1].split("witness rotation ", 1)[1]
+        expected = [complex(z["re"], z["im"]) for z in witness["zeros"] + [witness["rotation"]]]
+        assert [complex(t.replace("i", "j")) for t in zeros + [rotation]] == expected
+
 
 class TestMilin:
     def test_identity(self, capsys):
@@ -300,14 +317,29 @@ class TestUsageErrors:
         assert "finite" in err
 
     @pytest.mark.parametrize(
-        "c1, c2", [("1e6", "0"), ("0.9", "0.5"), ("1e308+1e308j", "0"), ("0", "-1.01j")]
+        "c1, c2, c3",
+        [
+            *(pytest.param(c1, c2, "0", id=f"{c1}-{c2}")
+              for c1, c2 in [("1e6", "0"), ("0.9", "0.5"), ("1e308+1e308j", "0"), ("0", "-1.01j")]),
+            # inside Carlson's region, outside the body: eta = 17/16; |b| = 1 or
+            # |a| = 1 with c3 other than the forced -conj(a) b^2 (1 - |a|^2)
+            ("0.25", "0.3125", "0.859375"), ("0.5", "0.75", "0"), ("1", "0", "1e-9"),
+        ],
     )
-    def test_coefficients_outside_the_body_exit_one(self, capsys, c1, c2):
+    def test_coefficients_outside_the_body_exit_one(self, capsys, c1, c2, c3):
         # not a Schwarz triple, so there is nothing to verify
-        code, out, err = run_cli(capsys, "gamma", "f1", f"--c1={c1}", f"--c2={c2}")
+        code, out, err = run_cli(capsys, "gamma", "f1", f"--c1={c1}", f"--c2={c2}", f"--c3={c3}")
         assert code == 1
         assert out == ""
         assert "Schwarz triple" in err
+
+    @pytest.mark.parametrize(
+        "c1, c2, c3", [("1", "0", "0"), ("0", "1j", "0"), ("0.5", "0.75", "-0.375"), ("0", "0", "-1")]
+    )
+    def test_boundary_of_the_body_passes(self, capsys, c1, c2, c3):
+        code, out, err = run_cli(capsys, "gamma", "f1", f"--c1={c1}", f"--c2={c2}", f"--c3={c3}")
+        assert (code, err) == (0, "")
+        assert out.endswith("pass\n")
 
     @pytest.mark.parametrize("step", ["1e-9", "0.0009", "0", "0.2", "nan"])
     def test_grid_step_out_of_range_exits_one(self, capsys, step):

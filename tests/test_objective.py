@@ -10,7 +10,6 @@ from gamma3lab import (
     F1,
     F2,
     F3,
-    RegionPoint,
     SchwarzTriple,
     carlson_check,
     gamma3_closed_form,
@@ -30,10 +29,10 @@ Y2 = (47 - 14 * math.sqrt(7)) / 108
 
 
 def region_points():
-    """Random points of E: draw x, then y below the parabola."""
+    """Random points (x, y) of E: draw x, then y below the parabola."""
     return st.tuples(
         st.floats(0.0, 1.0, allow_nan=False), st.floats(0.0, 1.0, allow_nan=False)
-    ).map(lambda t: RegionPoint(t[0], t[1] * (1.0 - t[0] * t[0])))
+    ).map(lambda t: (t[0], t[1] * (1.0 - t[0] * t[0])))
 
 
 class TestObjectiveValue:
@@ -59,7 +58,8 @@ class TestObjectiveValue:
     @given(region_points())
     @settings(max_examples=300)
     def test_third_is_first_plus_two(self, p):
-        assert abs(value_xy(F3, p.x, p.y) - value_xy(F1, p.x, p.y) - 2.0) <= 1e-12
+        x, y = p
+        assert abs(value_xy(F3, x, y) - value_xy(F1, x, y) - 2.0) <= 1e-12
 
 
 def _expanded_value_xy(family, x, y):
@@ -125,11 +125,12 @@ class TestObjectiveGradient:
     @given(region_points())
     @settings(max_examples=200)
     def test_matches_central_differences(self, p):
+        x, y = p
         h = 1e-6
         for family in ALL_FAMILIES:
-            gx, gy = gradient_xy(family, p.x, p.y)
-            fx = (value_xy(family, p.x + h, p.y) - value_xy(family, p.x - h, p.y)) / (2 * h)
-            fy = (value_xy(family, p.x, p.y + h) - value_xy(family, p.x, p.y - h)) / (2 * h)
+            gx, gy = gradient_xy(family, x, y)
+            fx = (value_xy(family, x + h, y) - value_xy(family, x - h, y)) / (2 * h)
+            fy = (value_xy(family, x, y + h) - value_xy(family, x, y - h)) / (2 * h)
             err = math.hypot(gx - fx, gy - fy)
             assert err <= 1e-6 * max(1.0, math.hypot(gx, gy))
 

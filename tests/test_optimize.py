@@ -9,7 +9,6 @@ from gamma3lab import (
     F2,
     F3,
     BoundReport,
-    RegionPoint,
     UnknownEdge,
     edge_maximum,
     global_bound,
@@ -39,28 +38,28 @@ class TestInteriorCriticalPoints:
     def test_first_family_unique_point(self):
         points = interior_critical_points(F1)
         assert len(points) == 1
-        (p, v) = points[0]
-        assert math.hypot(p.x - 0.25, p.y - 0.3125) <= 1e-9
+        (x, y, v) = points[0]
+        assert math.hypot(x - 0.25, y - 0.3125) <= 1e-9
         assert abs(v - 15.75) <= 1e-9
 
     def test_second_family_unique_point(self):
         points = interior_critical_points(F2)
         assert len(points) == 1
-        (p, v) = points[0]
-        assert math.hypot(p.x - X2, p.y - Y2) <= 1e-9
+        (x, y, v) = points[0]
+        assert math.hypot(x - X2, y - Y2) <= 1e-9
         assert abs(v - 3.10518) <= 1e-5
 
     def test_third_family_unique_point(self):
         points = interior_critical_points(F3)
         assert len(points) == 1
-        (p, v) = points[0]
-        assert math.hypot(p.x - 0.25, p.y - 0.3125) <= 1e-9
+        (x, y, v) = points[0]
+        assert math.hypot(x - 0.25, y - 0.3125) <= 1e-9
         assert abs(v - 17.75) <= 1e-9
 
     def test_hessian_negative_definite_at_maxima(self):
         for family in (F1, F2, F3):
-            (p, _), = interior_critical_points(family)
-            assert is_negative_definite(hessian_xy(family, p.x, p.y))
+            (x, y, _), = interior_critical_points(family)
+            assert is_negative_definite(hessian_xy(family, x, y))
 
 
 class TestEdgeMaximum:
@@ -142,7 +141,7 @@ class TestGlobalBound:
     def test_interior_dominates_edges(self):
         for family in (F1, F2, F3):
             r = global_bound(family)
-            interior_best = max(v for _, v in r.interior_points)
+            interior_best = max(v for _, _, v in r.interior_points)
             assert r.global_max == interior_best
             assert all(v < interior_best for _, _, v in r.edge_maxima)
 
@@ -170,8 +169,8 @@ class TestBoundReportInvariants:
     def test_global_max_must_match_candidates(self):
         # the maximum is derived from the candidates, so it follows them
         kwargs = self._valid_kwargs()
-        (p, v), = kwargs["interior_points"]
-        kwargs["interior_points"] = ((p, v + 0.5),)
+        (x, y, v), = kwargs["interior_points"]
+        kwargs["interior_points"] = ((x, y, v + 0.5),)
         r = BoundReport(**kwargs)
         assert r.global_max == v + 0.5
         kwargs["interior_points"] = ()

@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 import sys
+from fractions import Fraction
 
 import numpy as np
 
@@ -13,14 +14,14 @@ from gamma3lab import (
     F1,
     F2,
     F3,
+    TOL,
     BlaschkeProduct,
     SchwarzTriple,
     ZeroOutsideDisk,
     carlson_check,
     gamma3_closed_form,
-    is_feasible,
-    sample_batch,
     sample_blocks,
+    schur_parameters,
     schur_triple,
     schur_witness,
     taylor_of_blaschke,
@@ -30,7 +31,7 @@ from gamma3lab import schwarz
 from gamma3lab.schwarz import _batch, _derive_seed, _uniforms
 
 import reference
-from reference import blaschke_value
+from reference import blaschke_value, row, sample_batch
 from conftest import bits, disk_complex, sampled_product
 
 
@@ -95,8 +96,8 @@ class TestTripleRecurrence:
             for real_only in (False, True):
                 batch = sample_batch(degree, degree, 200, real_only)
                 t = triple_of_blaschke(batch)
-                for j in range(len(batch)):
-                    w = taylor_of_blaschke(batch.product(j), 3).coeffs
+                for j in range(len(batch.rotation)):
+                    w = taylor_of_blaschke(row(batch, j), 3).coeffs
                     assert abs(t.c1[j] - w[1]) <= 1e-13
                     assert abs(t.c2[j] - w[2]) <= 1e-13
                     assert abs(t.c3[j] - w[3]) <= 1e-13
@@ -110,8 +111,8 @@ class TestTripleRecurrence:
             batch = sample_batch(3, 4, 300, real_only)
             triple = triple_of_blaschke(batch)
             values = {f.tag: abs(gamma3_closed_form(f, triple)) for f in (F1, F2, F3)}
-            for j in range(len(batch)):
-                b = batch.product(j)
+            for j in range(len(batch.rotation)):
+                b = row(batch, j)
                 assert b.zeros == tuple(complex(a[j]) for a in batch.zeros)
                 assert b.rotation == complex(batch.rotation[j])
                 for f in (F1, F2, F3):
@@ -171,7 +172,7 @@ class TestSampleSchwarz:
         for real_only in (False, True):
             for degree in (1, 2, 5):
                 batch = sample_batch(31, degree, 40, real_only)
-                assert sampled_product(31, degree, real_only) == batch.product(0)
+                assert sampled_product(31, degree, real_only) == row(batch, 0)
 
     def test_samples_pass_carlson(self):
         for seed in range(500):
@@ -196,12 +197,12 @@ class TestSampleBatch:
         # u = 0 gives a = -1, which the guard sends to 0
         n, degree = 8, 5
         batch = _batch(_uniforms(bytes(8 * n * degree), degree, True), real_only=True)
-        assert len(batch) == n and batch.degree == degree
+        assert len(batch.rotation) == n and batch.degree == degree
         assert all((abs(a) < 1.0).all() for a in batch.zeros)
         assert all((a == 0).all() for a in batch.zeros)
         assert (batch.rotation == 1).all()
         for j in range(n):
-            batch.product(j)
+            row(batch, j)
 
     def test_real_only_structure(self):
         batch = sample_batch(11, 4, 500, real_only=True)
@@ -219,7 +220,7 @@ def _products(blocks):
     return {
         (tuple(complex(a[j]) for a in batch.zeros), complex(batch.rotation[j]))
         for batch in blocks
-        for j in range(len(batch))
+        for j in range(len(batch.rotation))
     }
 
 
@@ -227,12 +228,12 @@ class TestSampleBlocks:
     def test_degrees_cycle(self):
         blocks = list(sample_blocks(5, 23, 4))
         assert [b.degree for b in blocks] == [1, 2, 3, 4]
-        assert [len(b) for b in blocks] == [6, 6, 6, 5]
-        assert sum(len(b) for b in sample_blocks(5, 2, 4)) == 2
+        assert [len(b.rotation) for b in blocks] == [6, 6, 6, 5]
+        assert sum(len(b.rotation) for b in sample_blocks(5, 2, 4)) == 2
 
     def test_only_degrees_that_draw_a_sample_have_a_batch(self):
         assert len(list(sample_blocks(1, 3, 400))) == 3
-        assert [len(b) for b in sample_blocks(1, 3, 400)] == [1, 1, 1]
+        assert [len(b.rotation) for b in sample_blocks(1, 3, 400)] == [1, 1, 1]
 
     def test_distinct_seed_and_degree_streams_differ(self):
         blocks = list(sample_blocks(1, 600, 6)) + list(sample_blocks(2, 600, 6))
@@ -248,7 +249,7 @@ class TestSampleBlocks:
         monkeypatch.setattr(schwarz, "BLOCK_ROWS", 7)
         for real_only in (False, True):
             blocks = list(sample_blocks(3, 101, 4, real_only))
-            assert max(len(b) for b in blocks) == 7
+            assert max(len(b.rotation) for b in blocks) == 7
             for degree in (1, 2, 3, 4):
                 chunks = [b for b in blocks if b.degree == degree]
                 count = len(range(degree - 1, 101, 4))
@@ -256,6 +257,11 @@ class TestSampleBlocks:
                 for k, a in enumerate(whole.zeros):
                     assert (np.concatenate([c.zeros[k] for c in chunks]) == a).all()
                 assert (np.concatenate([c.rotation for c in chunks]) == whole.rotation).all()
+
+
+def _in_body(c):
+    """The ``gamma`` command's gate: Schur parameters of modulus at most 1."""
+    return all(abs(p) <= 1.0 + TOL.carlson_slack for p in schur_parameters(c))
 
 
 def _random_schur_parameters(rng, real):
@@ -304,7 +310,50 @@ class TestSchurParameters:
         rng = random.Random(29)
         for real in (False, True):
             for _ in range(2000):
-                assert is_feasible(schur_triple(*_random_schur_parameters(rng, real)))
+                assert _in_body(schur_triple(*_random_schur_parameters(rng, real)))
+
+    def test_parameters_invert_the_triple(self):
+        # the inverse divides by 1 - |a|^2 and 1 - |b|^2, so its error grows
+        # as either parameter nears the circle
+        rng = random.Random(31)
+        for real in (False, True):
+            for _ in range(2000):
+                a, b, eta = _random_schur_parameters(rng, real)
+                eta *= rng.random()
+                ka, kb = 1 - abs(a) ** 2, 1 - abs(b) ** 2
+                pa, pb, peta = schur_parameters(schur_triple(a, b, eta))
+                assert pa == a
+                assert abs(pb - b) <= 1e-15 / ka
+                assert abs(peta - eta) <= 1e-14 / (ka * kb)
+
+    def test_forced_coefficients(self):
+        # |a| = 1 forces c2 = c3 = 0; |b| = 1 forces c3 = -conj(a) b^2 (1 - |a|^2)
+        assert schur_parameters(SchwarzTriple(1j, 0, 0)) == (1j, 0, 0)
+        assert schur_parameters(SchwarzTriple(-1, 0.1, 0))[1] == math.inf
+        assert schur_parameters(SchwarzTriple(-1, 0, 0.1))[2] == math.inf
+        assert schur_parameters(SchwarzTriple(-0.5, 0.75, 0.375)) == (-0.5, 1, 0)
+        assert schur_parameters(SchwarzTriple(0.5, 0.75, 0))[2] == math.inf
+        assert _in_body(SchwarzTriple(0.5, 0.75, -0.375))
+        assert not _in_body(SchwarzTriple(0.5, 0.75, 0))
+
+    def test_carlson_third_bound_is_the_triangle_inequality(self):
+        # 1 - |c1|^2 - |c2|^2/(1+|c1|) = (1-|a|^2)(1-|b|^2) + (1-|a|^2)|a||b|^2,
+        # so Carlson's |c3| bound is the triangle inequality on |eta| <= 1
+        rng = random.Random(37)
+        for _ in range(500):
+            a, b = (Fraction(rng.randint(-999, 999), 1000) for _ in range(2))
+            c1, c2 = a, (1 - a * a) * b
+            carlson = 1 - c1 * c1 - c2 * c2 / (1 + abs(c1))
+            assert carlson == (1 - a * a) * (1 - b * b) + (1 - a * a) * abs(a) * b * b
+
+    def test_carlson_region_is_larger_than_the_body(self):
+        # F1's paper maximum (|c1|, |c2|) = (1/4, 5/16) with Carlson's |c3|
+        # meets all three bounds, yet eta = 17/16
+        c = SchwarzTriple(0.25, 0.3125, 0.859375)
+        assert min(carlson_check(c)) >= 0
+        a, b, eta = schur_parameters(c)
+        assert a == 0.25 and abs(b - 1 / 3) <= 1e-15 and abs(eta - 17 / 16) <= 1e-15
+        assert not _in_body(c)
 
 
 class TestCarlsonCheck:
@@ -320,7 +369,7 @@ class TestCarlsonCheck:
     def test_infeasible_triple(self):
         slacks = carlson_check(SchwarzTriple(1, 0.1, 0))
         assert abs(slacks[1] - (-0.1)) <= 1e-12
-        assert not is_feasible(SchwarzTriple(1, 0.1, 0))
+        assert not _in_body(SchwarzTriple(1, 0.1, 0))
 
     def test_feasible_accepts_tiny_negative_noise(self):
-        assert is_feasible(SchwarzTriple(1 + 1e-14, 0, 0))
+        assert _in_body(SchwarzTriple(1 + 1e-14, 0, 0))

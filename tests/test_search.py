@@ -15,7 +15,6 @@ from gamma3lab import (
     VerificationFailed,
     WitnessMismatch,
     gamma3_closed_form,
-    sample_batch,
     schur_triple,
     search,
     search_lower_bound,
@@ -26,6 +25,8 @@ from gamma3lab import schwarz
 from gamma3lab.objective import value_xy
 from gamma3lab.schwarz import _derive_seed
 from gamma3lab.search import REMARK_VALUES, _refine, _schur_value
+
+from reference import sample_batch
 
 
 def _reference_refine(family, a, b, value, budget, real_only):
@@ -157,7 +158,7 @@ class TestSearchLowerBound:
             a, b = sample_batch(4, 3, 20, real_only).zeros
             start = _best_over_eta(F1, a, b)
             for budget in (10, 50, 200):
-                ra, rb, refined, used = _refine(F1, a, b, start, budget, real_only)
+                ra, rb, refined, used = _refine(F1, a, b, start, np.full(len(a), budget), real_only)
                 assert (refined >= start).all() and (used <= budget).all()
                 assert (abs(ra) < 1 - 1e-9).all() and (abs(rb) < 1 - 1e-9).all()
                 if real_only:
@@ -175,7 +176,7 @@ class TestSearchLowerBound:
                 a, b = np.concatenate([a, edge_a]), np.concatenate([b, edge_b])
                 start = _schur_value(family, a, b)
                 for budget in (1, 3, 10, 50, 200, 3000):
-                    batched = _refine(family, a, b, start, budget, real_only)
+                    batched = _refine(family, a, b, start, np.full(len(a), budget), real_only)
                     for j, (ra, rb, rv, used) in enumerate(zip(*batched)):
                         ref = _reference_refine(
                             family, complex(a[j]), complex(b[j]), float(start[j]),
