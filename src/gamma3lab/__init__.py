@@ -28,7 +28,6 @@ from .schwarz import (
     ZeroOutsideDisk,
     carlson_check,
     sample_blocks,
-    schur_parameters,
     schur_triple,
     schur_witness,
     taylor_of_blaschke,

@@ -25,14 +25,20 @@ from __future__ import annotations
 from .families import Family
 
 
+def quadratic_in_y(family: Family, x: float) -> tuple[float, float, float]:
+    """(a, b, c) of the objective a + y (b - c y) at x; c > 0 exactly when w3 > 0."""
+    w0, w1, w2, w3, w12, w111 = family.gamma3_weights
+    a = abs(w0) + abs(w1) * x + w3 * (1.0 - x * x) + abs(w111) * x ** 3
+    b = abs(w2) + abs(w12) * x
+    c = w3 / (1.0 + x)
+    return a, b, c
+
+
 def value_xy(family: Family, x: float, y: float) -> float:
     """Objective at (x, y), as the quadratic a + y (b - c y) in y.
 
     a, b and c depend on x alone, so broadcasting a column of x against a
     row of y computes them once per x and leaves four operations per point.
     """
-    w0, w1, w2, w3, w12, w111 = family.gamma3_weights
-    a = abs(w0) + abs(w1) * x + w3 * (1.0 - x * x) + abs(w111) * x ** 3
-    b = abs(w2) + abs(w12) * x
-    c = w3 / (1.0 + x)
+    a, b, c = quadratic_in_y(family, x)
     return a + y * (b - c * y)

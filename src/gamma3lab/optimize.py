@@ -15,14 +15,11 @@ if it ever exceeds the analytic maximum beyond ``TOL.certification``,
 some formula was transcribed wrong and :class:`CertificationMismatch` is
 raised.  The lattice is described once, by columns (x, shared y ticks,
 ticks below each column's top, top points); the csv dump walks it point
-by point, and the sweep evaluates it in blocks of adjacent columns, whose
-temporaries stay in cache, with the same arithmetic per point.  The
-objective is a quadratic in y whose coefficients depend on x alone, so a
-block computes them once per column and each point costs four array
-operations.  Since columns only get shorter, a block's ticks below its
-shortest column form a rectangle that reduces without a mask; only the
-ragged tail above it is masked.  Each edge maximum must also be the
-objective's value at its own point, which catches a restriction
+by point.  The sweep needs w3 > 0: each column is then a concave
+parabola in y, whose best tick is one of four around its vertex, or its
+highest tick if the vertex lies above it; every other tick is lower by
+at least 3.75 c step^2, far above rounding.  Each edge maximum must also
+be the objective's value at its own point, which catches a restriction
 transcribed too high or too low.
 """
 
@@ -35,7 +32,7 @@ import numpy as np
 
 from .config import TOL, VerificationFailed
 from .families import Family
-from .objective import value_xy
+from .objective import quadratic_in_y, value_xy
 
 
 EDGES = ("bottom", "left", "top")  # y = 0, x = 0, y = 1 - x^2
@@ -221,30 +218,22 @@ def _lattice_columns(step: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     return x, ticks, np.searchsorted(ticks, top - 1e-12), top
 
 
-#: Adjacent lattice columns per block of the grid sweep: a block's
-#: temporaries (64 columns of at most 1000 points, 0.5 MB each) stay in L2.
-_SWEEP_COLUMNS = 64
-
-
 def _dense_grid_max(family: Family) -> float:
-    """Maximum of the objective over the lattice of step ``GRID_STEP``.
+    """Maximum of the objective over the lattice of step ``GRID_STEP``, bit for bit.
 
-    The top points take one call; the points below them are swept in blocks
-    of ``_SWEEP_COLUMNS`` columns, where broadcasting computes the objective's
-    coefficients in y once per column.  Counts never increase, so every
-    column of a block holds the ticks below its last (shortest) column's
-    count: that rectangle reduces with a plain maximum, and only the ragged
-    tail up to the first (tallest) column's count is masked.
+    Besides the top points, it evaluates the ticks floor(y_v / step) + (-1,
+    0, 1, 2) around each column's vertex y_v = b / (2 c), clipped, not
+    masked, into the column.  It raises ValueError unless w3 > 0.
     """
     x, ticks, counts, top = _lattice_columns(GRID_STEP)
-    best = np.max(value_xy(family, x, top))
-    for i in range(0, len(x), _SWEEP_COLUMNS):
-        block = counts[i:i + _SWEEP_COLUMNS, None]
-        k, m = int(block[0, 0]), int(block[-1, 0])  # tallest and shortest column
-        v = value_xy(family, x[i:i + _SWEEP_COLUMNS, None], ticks[:k])
-        tail = np.max(v[:, m:], where=np.arange(m, k) < block, initial=-np.inf)
-        best = max(best, np.max(v[:, :m], initial=-np.inf), tail)
-    return float(best)
+    _, b, c = quadratic_in_y(family, x)
+    if not (c > 0.0).all():
+        raise ValueError(f"the grid sweep needs w3 > 0, not {family.gamma3_weights[3]!r}")
+    live = counts > 0
+    vertex = np.floor(b[live] / (2.0 * c[live]) / GRID_STEP)[:, None]
+    window = np.clip(vertex + np.arange(-1.0, 3.0), 0, counts[live, None] - 1).astype(np.intp)
+    near = value_xy(family, x[live, None], ticks[window])
+    return float(max(np.max(value_xy(family, x, top)), np.max(near)))
 
 
 def global_bound(family: Family) -> BoundReport:

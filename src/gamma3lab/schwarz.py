@@ -12,7 +12,7 @@ inside the disk, so every product is a genuine Schwarz function by
 construction.
 
 Schur's algorithm describes the triples exactly, by parameters |a|, |b|,
-|eta| <= 1 (:func:`schur_triple`, inverted by :func:`schur_parameters`);
+|eta| <= 1 (:func:`schur_triple`; :func:`in_body` tests a triple);
 Carlson's third bound is the triangle inequality on |eta| <= 1.  For
 unimodular eta, :func:`schur_witness` is the degree-3 product with them.
 
@@ -29,7 +29,6 @@ way.
 from __future__ import annotations
 
 import cmath
-import math
 import random
 from dataclasses import dataclass
 from typing import Iterator
@@ -174,22 +173,18 @@ def schur_triple(a: complex, b: complex, eta: complex) -> SchwarzTriple:
     return SchwarzTriple(a, ka * b, ka * (kb * eta - a.conjugate() * b * b))
 
 
-def schur_parameters(c: SchwarzTriple) -> tuple[complex, complex, complex]:
-    """The Schur parameters (a, b, eta) of a scalar triple, inverting :func:`schur_triple`:
+def in_body(c: SchwarzTriple) -> bool:
+    """Whether a scalar triple begins a Schwarz function, to ``TOL.carlson_slack``.
 
-    a = c1, b = c2/(1 - |a|^2), eta = (c3/(1 - |a|^2) + conj(a) b^2)/(1 - |b|^2).
-    The triple begins a Schwarz function exactly when |a|, |b|, |eta| <= 1.
-    |a| = 1 forces c2 = c3 = 0, and |b| = 1 forces c3 = -conj(a) b^2 (1 - |a|^2):
-    a parameter left free then reads 0, and one whose forced value fails reads inf.
+    It tests |eta| <= 1 times (1 - |a|^2)(1 - |b|^2), in coefficient units,
+    |c3 + conj(a) c2^2/(1 - |a|^2)| <= (1 - |a|^2) - |c2|^2/(1 - |a|^2) + slack,
+    so no rounding in c3 can make eta infinite where |b| = 1.
     """
-    a, inf = c.c1, complex(math.inf)
+    a, c2, slack = c.c1, c.c2, TOL.carlson_slack
     ka = 1.0 - (a * a.conjugate()).real
-    if ka == 0.0:
-        return a, (inf if c.c2 else 0j), (inf if c.c3 else 0j)
-    b = c.c2 / ka
-    kb = 1.0 - (b * b.conjugate()).real
-    r = c.c3 / ka + a.conjugate() * b * b
-    return a, b, (r / kb if kb != 0.0 else (inf if r else 0j))
+    if ka <= 0.0:  # |a| = 1 forces c2 = c3 = 0
+        return abs(a) <= 1.0 + slack and abs(c2) <= slack and abs(c.c3) <= slack
+    return abs(c.c3 + a.conjugate() * c2 * c2 / ka) <= ka - (c2 * c2.conjugate()).real / ka + slack
 
 
 def schur_witness(a: complex, b: complex, eta: complex) -> BlaschkeProduct:

@@ -15,10 +15,12 @@ the reference its Taylor series is checked against; ``gradient_xy``,
 derivatives, which check its interior maxima.  ``sample_batch`` draws a
 whole batch from one stream at once, the one-shot reference that the
 program's blocked streams are checked against, and ``row`` reads one
-product out of a batch.
+product out of a batch.  ``schur_parameters`` inverts ``schur_triple``,
+whose round trip it checks, degenerate cases included.
 """
 
 import cmath
+import math
 import random
 
 from gamma3lab import (
@@ -194,3 +196,21 @@ def sample_batch(seed: int, degree: int, n: int, real_only: bool = False) -> Bla
 def row(batch: BlaschkeBatch, j: int) -> BlaschkeProduct:
     """Product j of a batch, with exactly the numbers of the batch."""
     return BlaschkeProduct(tuple(a[j] for a in batch.zeros), batch.rotation[j])
+
+
+def schur_parameters(c) -> tuple[complex, complex, complex]:
+    """The Schur parameters (a, b, eta) of a scalar triple, inverting ``schur_triple``:
+
+    a = c1, b = c2/(1 - |a|^2), eta = (c3/(1 - |a|^2) + conj(a) b^2)/(1 - |b|^2).
+    The triple begins a Schwarz function exactly when |a|, |b|, |eta| <= 1.
+    |a| = 1 forces c2 = c3 = 0, and |b| = 1 forces c3 = -conj(a) b^2 (1 - |a|^2):
+    a parameter left free then reads 0, and one whose forced value fails reads inf.
+    """
+    a, inf = c.c1, complex(math.inf)
+    ka = 1.0 - (a * a.conjugate()).real
+    if ka == 0.0:
+        return a, (inf if c.c2 else 0j), (inf if c.c3 else 0j)
+    b = c.c2 / ka
+    kb = 1.0 - (b * b.conjugate()).real
+    r = c.c3 / ka + a.conjugate() * b * b
+    return a, b, (r / kb if kb != 0.0 else (inf if r else 0j))

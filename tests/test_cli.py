@@ -320,7 +320,8 @@ class TestUsageErrors:
         "c1, c2, c3",
         [
             *(pytest.param(c1, c2, "0", id=f"{c1}-{c2}")
-              for c1, c2 in [("1e6", "0"), ("0.9", "0.5"), ("1e308+1e308j", "0"), ("0", "-1.01j")]),
+              for c1, c2 in [("1e6", "0"), ("0.9", "0.5"), ("1e308", "0"), ("1e308+1e308j", "0"),
+                             ("0", "-1.01j"), ("1.0000001", "0")]),
             # inside Carlson's region, outside the body: eta = 17/16; |b| = 1 or
             # |a| = 1 with c3 other than the forced -conj(a) b^2 (1 - |a|^2)
             ("0.25", "0.3125", "0.859375"), ("0.5", "0.75", "0"), ("1", "0", "1e-9"),
@@ -334,7 +335,14 @@ class TestUsageErrors:
         assert "Schwarz triple" in err
 
     @pytest.mark.parametrize(
-        "c1, c2, c3", [("1", "0", "0"), ("0", "1j", "0"), ("0.5", "0.75", "-0.375"), ("0", "0", "-1")]
+        "c1, c2, c3",
+        [
+            ("1", "0", "0"), ("0", "1j", "0"), ("0.5", "0.75", "-0.375"), ("0", "0", "-1"),
+            # |b| = 1, where rounding in c3 made eta infinite
+            ("-0.499", "0.750999", "0.374748501"),
+            # |c1| above 1 by less than the slack, real or complex
+            ("1.00000000000001", "0", "0"), ("0.70710678118655+0.70710678118655j", "0", "0"),
+        ],
     )
     def test_boundary_of_the_body_passes(self, capsys, c1, c2, c3):
         code, out, err = run_cli(capsys, "gamma", "f1", f"--c1={c1}", f"--c2={c2}", f"--c3={c3}")

@@ -75,6 +75,15 @@ def _expanded_value_xy(family, x, y):
     )
 
 
+def _value_before_the_helper(family, x, y):
+    """:func:`value_xy` as written with a, b and c inline, before :func:`quadratic_in_y`."""
+    w0, w1, w2, w3, w12, w111 = family.gamma3_weights
+    a = abs(w0) + abs(w1) * x + w3 * (1.0 - x * x) + abs(w111) * x ** 3
+    b = abs(w2) + abs(w12) * x
+    c = w3 / (1.0 + x)
+    return a + y * (b - c * y)
+
+
 def _rounding(family):
     """How far two orders of the same arithmetic may drift apart on E."""
     return 8 * np.finfo(float).eps * sum(map(abs, family.gamma3_weights))
@@ -102,6 +111,16 @@ class TestQuadraticInY:
         x, y = lattice(0.007)
         drift = np.abs(value_xy(family, x, y) - _expanded_value_xy(family, x, y))
         assert drift.max() <= _rounding(family)
+
+    def test_the_helper_leaves_the_value_bit_for_bit(self, family):
+        rng = np.random.default_rng(11)
+        x = rng.random(10_000)
+        y = rng.random(10_000) * (1.0 - x * x)
+        assert value_xy(family, x, y).tobytes() == _value_before_the_helper(family, x, y).tobytes()
+        grid, before = (f(family, x[:64, None], y[:1000]) for f in (value_xy, _value_before_the_helper))
+        assert grid.tobytes() == before.tobytes()
+        for xi, yi in zip(x[:500].tolist(), y[:500].tolist()):
+            assert value_xy(family, xi, yi).hex() == _value_before_the_helper(family, xi, yi).hex()
 
     def test_column_broadcast_is_the_pointwise_value(self, family):
         x, y = np.linspace(0.0, 1.0, 64)[:, None], np.linspace(0.0, 1.0, 1000)

@@ -1,4 +1,5 @@
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ from gamma3lab import (
     F2,
     F3,
     BoundReport,
+    Family,
     UnknownEdge,
     edge_maximum,
     global_bound,
@@ -258,34 +260,45 @@ class TestLattice:
         ]
 
 
+def _vertex_tick(family, i):
+    """Column i's tick floor(y_v / step), y_v = (|w2| + |w12| x)(1 + x) / (2 w3) its vertex."""
+    x = _lattice_columns(GRID_STEP)[0][i]
+    _, _, w2, w3, w12, _ = family.gamma3_weights
+    return math.floor((abs(w2) + abs(w12) * x) * (1.0 + x) / (2.0 * w3) / GRID_STEP)
+
+
+#: A family whose columns all peak at y = 0: w2 = w12 = 0.
+FLAT = Family("flat", (1.0,), 1, (1.0, 1.0, 0.0, 3.0, 0.0, 1.0))
+#: F1's vertex lies inside column 300 and above column 850's top.
+_INSIDE, _ABOVE = 300, 850
+
+
 def _sweep_points():
-    """One lattice point of each kind that the blocked sweep must reach."""
+    """One lattice point of each kind that the sweep must reach, with its family."""
     x, ticks, counts, top = _lattice_columns(GRID_STEP)
-    c = optimize_module._SWEEP_COLUMNS
-    last = (len(x) - 1) // c * c  # first column of the last block
-    assert len(x) % c != 0 and (x[-1], top[-1]) == (1.0, 0.0)
-    short = counts[2 * c - 1]  # the second block's rectangle has this many ticks
-    assert 0 < short < counts[c]
+    i, j = _INSIDE, _ABOVE
+    m = _vertex_tick(F1, i)
+    assert 1 <= m and m + 2 < counts[i] and _vertex_tick(F1, j) > counts[j]
+    assert _vertex_tick(FLAT, i) == 0 and (x[-1], top[-1]) == (1.0, 0.0)
     return {
-        "first column of a block": (x[c], ticks[counts[c] - 1]),
-        "last column of a block": (x[2 * c - 1], ticks[0]),
-        "last tick of a block's shortest column": (x[2 * c - 1], ticks[short - 1]),
-        "first tick above it in the tallest column": (x[c], ticks[short]),
-        "ragged last block": (x[last + 1], ticks[counts[last + 1] - 1]),
-        "top point": (x[c + 3], top[c + 3]),
-        "corner (1, 0)": (x[-1], top[-1]),
+        "vertex tick": (F1, x[i], ticks[m]),
+        "tick below the vertex tick": (F1, x[i], ticks[m - 1]),
+        "second tick above the vertex tick": (F1, x[i], ticks[m + 2]),
+        "top point": (F1, x[i + 3], top[i + 3]),
+        "tick 0 under a vertex at y = 0": (FLAT, x[i], ticks[0]),
+        "last tick below a vertex above the top": (F1, x[j], ticks[counts[j] - 1]),
+        "corner (1, 0)": (F1, x[-1], top[-1]),
     }
 
 
 def _points_off_the_lattice():
-    """Ticks above a column's top that the sweep evaluates and must ignore."""
+    """Ticks above a column's top, which the sweep's clipped window never reaches."""
     x, ticks, counts, top = _lattice_columns(GRID_STEP)
-    c = optimize_module._SWEEP_COLUMNS
-    short = counts[2 * c - 1]
-    assert ticks[short] != top[2 * c - 1] and ticks[counts[c] - 1] > top[2 * c - 1]
+    j = _ABOVE
+    assert ticks[counts[j]] > top[j]
     return {
-        "first tick above a block's shortest column": (x[2 * c - 1], ticks[short]),
-        "tallest column's last tick in the shortest column": (x[2 * c - 1], ticks[counts[c] - 1]),
+        "first tick above a column's top": (x[j], ticks[counts[j]]),
+        "vertex tick above a column's top": (x[j], ticks[_vertex_tick(F1, j)]),
     }
 
 
@@ -298,14 +311,59 @@ def _bump(x0, y0):
     return bumped
 
 
+def _seeded_families(seed, count):
+    """Weight families with w3 > 0: a third with integer weights, a fifth with
+    w2 = w12 = 0 (vertex at y = 0); of the others, most have their vertex
+    above some columns' tops and a quarter above every column's."""
+    rng = random.Random(seed)
+    for k in range(count):
+        w = [rng.uniform(-20.0, 20.0) for _ in range(6)]
+        w[3] = rng.uniform(0.01, 20.0)
+        if k % 3 == 0:
+            w = [float(round(v)) for v in w]
+            w[3] = float(rng.randint(1, 20))
+        if k % 5 == 0:
+            w[2] = w[4] = 0.0
+        yield Family(f"W{seed}.{k}", (1.0,), 1, tuple(w))
+
+
+#: Lattice steps of most seeded families: the sweep's arithmetic does not
+#: depend on the step, and the flat maximum at ``GRID_STEP`` takes 20 ms.
+_SEEDED_STEPS = (0.1, 0.05, 0.03, 0.01, 0.007)
+
+
+def _sweep_cases():
+    """(family, step) pairs by test id: F1-F3 and 10 seeded families at
+    ``GRID_STEP``, and 1000 more in five groups, cycling through ``_SEEDED_STEPS``."""
+    cases = {f.tag: [(f, GRID_STEP)] for f in (F1, F2, F3)}
+    for seed in range(5):
+        families = _seeded_families(seed, 200)
+        cases[f"seeded {seed}"] = [
+            (f, _SEEDED_STEPS[k % len(_SEEDED_STEPS)]) for k, f in enumerate(families)
+        ]
+    cases["seeded at GRID_STEP"] = [(f, GRID_STEP) for f in _seeded_families(5, 10)]
+    return cases
+
+
+_SWEEP_CASES = _sweep_cases()
+
+
 class TestDenseGridSweep:
-    @pytest.mark.parametrize("columns", [1, 7, 64, 2000])
-    def test_blocks_give_the_flat_maximum_bit_for_bit(self, monkeypatch, columns):
-        # 1001 columns: 7 and 64 leave a ragged last block, 2000 is one block
-        monkeypatch.setattr(optimize_module, "_SWEEP_COLUMNS", columns)
-        for family in (F1, F2, F3):
-            flat = float(np.max(value_xy(family, *lattice(GRID_STEP))))
-            assert _dense_grid_max(family) == flat
+    @pytest.mark.parametrize("case", list(_SWEEP_CASES))
+    def test_vertex_ticks_give_the_flat_maximum_bit_for_bit(self, monkeypatch, case):
+        lattices = {}
+        for family, step in _SWEEP_CASES[case]:
+            if step not in lattices:
+                lattices[step] = lattice(step)
+            monkeypatch.setattr(optimize_module, "GRID_STEP", step)
+            flat = float(np.max(value_xy(family, *lattices[step])))
+            assert _dense_grid_max(family).hex() == flat.hex(), family
+
+    @pytest.mark.parametrize("w3", [0.0, -3.0])
+    def test_a_convex_or_flat_objective_is_refused(self, w3):
+        family = Family("convex", (1.0,), 1, (3.0, 2.0, 4.0, w3, 8.0, 4.0))
+        with pytest.raises(ValueError, match="w3 > 0"):
+            _dense_grid_max(family)
 
     def test_columns_describe_the_lattice(self):
         for step in (0.1, 0.0013, GRID_STEP):
@@ -317,14 +375,16 @@ class TestDenseGridSweep:
 
     @pytest.mark.parametrize("where", list(_sweep_points()))
     def test_sweep_reaches_every_kind_of_point(self, monkeypatch, where):
-        monkeypatch.setattr(optimize_module, "value_xy", _bump(*_sweep_points()[where]))
+        family, x0, y0 = _sweep_points()[where]
+        monkeypatch.setattr(optimize_module, "value_xy", _bump(x0, y0))
         with pytest.raises(CertificationMismatch, match="dense grid"):
-            global_bound(F1)
+            global_bound(family)
 
     @pytest.mark.parametrize("where", list(_points_off_the_lattice()))
     def test_sweep_skips_ticks_above_a_column(self, monkeypatch, where):
+        grid_max = global_bound(F1).grid_max
         monkeypatch.setattr(optimize_module, "value_xy", _bump(*_points_off_the_lattice()[where]))
-        assert global_bound(F1).grid_max < 16.0
+        assert global_bound(F1).grid_max == grid_max
 
     def test_warm_bound_stays_small_in_memory(self):
         global_bound(F1)

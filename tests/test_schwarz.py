@@ -14,24 +14,22 @@ from gamma3lab import (
     F1,
     F2,
     F3,
-    TOL,
     BlaschkeProduct,
     SchwarzTriple,
     ZeroOutsideDisk,
     carlson_check,
     gamma3_closed_form,
     sample_blocks,
-    schur_parameters,
     schur_triple,
     schur_witness,
     taylor_of_blaschke,
     triple_of_blaschke,
 )
 from gamma3lab import schwarz
-from gamma3lab.schwarz import _batch, _derive_seed, _uniforms
+from gamma3lab.schwarz import _batch, _derive_seed, _uniforms, in_body
 
 import reference
-from reference import blaschke_value, row, sample_batch
+from reference import blaschke_value, row, sample_batch, schur_parameters
 from conftest import bits, disk_complex, sampled_product
 
 
@@ -259,11 +257,6 @@ class TestSampleBlocks:
                 assert (np.concatenate([c.rotation for c in chunks]) == whole.rotation).all()
 
 
-def _in_body(c):
-    """The ``gamma`` command's gate: Schur parameters of modulus at most 1."""
-    return all(abs(p) <= 1.0 + TOL.carlson_slack for p in schur_parameters(c))
-
-
 def _random_schur_parameters(rng, real):
     """(a, b, eta): a, b in the disk (or real), eta unimodular (or +-1)."""
     if real:
@@ -310,7 +303,7 @@ class TestSchurParameters:
         rng = random.Random(29)
         for real in (False, True):
             for _ in range(2000):
-                assert _in_body(schur_triple(*_random_schur_parameters(rng, real)))
+                assert in_body(schur_triple(*_random_schur_parameters(rng, real)))
 
     def test_parameters_invert_the_triple(self):
         # the inverse divides by 1 - |a|^2 and 1 - |b|^2, so its error grows
@@ -333,8 +326,19 @@ class TestSchurParameters:
         assert schur_parameters(SchwarzTriple(-1, 0, 0.1))[2] == math.inf
         assert schur_parameters(SchwarzTriple(-0.5, 0.75, 0.375)) == (-0.5, 1, 0)
         assert schur_parameters(SchwarzTriple(0.5, 0.75, 0))[2] == math.inf
-        assert _in_body(SchwarzTriple(0.5, 0.75, -0.375))
-        assert not _in_body(SchwarzTriple(0.5, 0.75, 0))
+        assert in_body(SchwarzTriple(0.5, 0.75, -0.375))
+        assert not in_body(SchwarzTriple(0.5, 0.75, 0))
+
+    def test_boundary_triples_built_in_floats_are_in_the_body(self):
+        # |b| = 1 forces c3 = -a (1 - a^2); one rounding in c3 made the
+        # quotient eta of schur_parameters infinite for 360 of these
+        for k in range(-989, 990):
+            a = k / 1000
+            for sign in (1, -1):
+                c2, c3 = sign * (1 - a * a), -a * (1 - a * a)
+                assert in_body(SchwarzTriple(a, c2, c3))
+                assert not in_body(SchwarzTriple(a, c2, c3 + 1e-9))
+        assert in_body(SchwarzTriple(-0.499, 0.750999, 0.374748501))
 
     def test_carlson_third_bound_is_the_triangle_inequality(self):
         # 1 - |c1|^2 - |c2|^2/(1+|c1|) = (1-|a|^2)(1-|b|^2) + (1-|a|^2)|a||b|^2,
@@ -353,7 +357,7 @@ class TestSchurParameters:
         assert min(carlson_check(c)) >= 0
         a, b, eta = schur_parameters(c)
         assert a == 0.25 and abs(b - 1 / 3) <= 1e-15 and abs(eta - 17 / 16) <= 1e-15
-        assert not _in_body(c)
+        assert not in_body(c)
 
 
 class TestCarlsonCheck:
@@ -369,7 +373,7 @@ class TestCarlsonCheck:
     def test_infeasible_triple(self):
         slacks = carlson_check(SchwarzTriple(1, 0.1, 0))
         assert abs(slacks[1] - (-0.1)) <= 1e-12
-        assert not _in_body(SchwarzTriple(1, 0.1, 0))
+        assert not in_body(SchwarzTriple(1, 0.1, 0))
 
     def test_feasible_accepts_tiny_negative_noise(self):
-        assert _in_body(SchwarzTriple(1 + 1e-14, 0, 0))
+        assert in_body(SchwarzTriple(1 + 1e-14, 0, 0))
