@@ -271,6 +271,10 @@ def _vertex_tick(family, i):
 FLAT = Family("flat", (1.0,), 1, (1.0, 1.0, 0.0, 3.0, 0.0, 1.0))
 #: F1's vertex lies inside column 300 and above column 850's top.
 _INSIDE, _ABOVE = 300, 850
+#: Columns that keep the ids of cases first written for the former sweep in
+#: 64-column blocks: 961 began its ragged last block, 127 ended its second
+#: block (a short column, F1's vertex inside it) and 64 was that block's tallest.
+_RAGGED, _SHORT, _TALL = 961, 127, 64
 
 
 def _sweep_points():
@@ -280,6 +284,8 @@ def _sweep_points():
     m = _vertex_tick(F1, i)
     assert 1 <= m and m + 2 < counts[i] and _vertex_tick(F1, j) > counts[j]
     assert _vertex_tick(FLAT, i) == 0 and (x[-1], top[-1]) == (1.0, 0.0)
+    r = _RAGGED
+    assert _vertex_tick(F1, r) > counts[r]
     return {
         "vertex tick": (F1, x[i], ticks[m]),
         "tick below the vertex tick": (F1, x[i], ticks[m - 1]),
@@ -288,17 +294,21 @@ def _sweep_points():
         "tick 0 under a vertex at y = 0": (FLAT, x[i], ticks[0]),
         "last tick below a vertex above the top": (F1, x[j], ticks[counts[j] - 1]),
         "corner (1, 0)": (F1, x[-1], top[-1]),
+        "ragged last block": (F1, x[r], ticks[counts[r] - 1]),
     }
 
 
 def _points_off_the_lattice():
     """Ticks above a column's top, which the sweep's clipped window never reaches."""
     x, ticks, counts, top = _lattice_columns(GRID_STEP)
-    j = _ABOVE
+    j, s, t = _ABOVE, _SHORT, _TALL
     assert ticks[counts[j]] > top[j]
+    assert _vertex_tick(F1, s) + 2 < counts[s] < counts[t] and ticks[counts[s]] > top[s]
     return {
         "first tick above a column's top": (x[j], ticks[counts[j]]),
         "vertex tick above a column's top": (x[j], ticks[_vertex_tick(F1, j)]),
+        "first tick above a block's shortest column": (x[s], ticks[counts[s]]),
+        "tallest column's last tick in the shortest column": (x[s], ticks[counts[t] - 1]),
     }
 
 
