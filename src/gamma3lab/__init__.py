@@ -12,15 +12,7 @@ bounds from below.
 """
 
 from .config import DEFAULT_ORDER, TOL, Tolerances, VerificationFailed
-from .series import (
-    NotNormalized,
-    TruncatedSeries,
-    ZeroConstantTerm,
-    antiderivative,
-    log_over_z,
-    multiply,
-    reciprocal,
-)
+from .series import NotNormalized, TruncatedSeries, antiderivative, log_over_z
 from .schwarz import (
     BlaschkeBatch,
     BlaschkeProduct,

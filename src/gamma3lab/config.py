@@ -20,9 +20,8 @@ DEFAULT_SEED = 1
 
 @dataclass(frozen=True)
 class Tolerances:
-    # series arithmetic
-    zero_constant: float = 1e-12       # |a0| below this cannot be inverted
-    normalized: float = 1e-12          # slack on f(0)=0, f'(0)=1
+    # series
+    normalized: float = 1e-12          # slack on f(0)=0, f'(0)=1, w(0)=0
     # Schwarz data
     rotation_unimodular: float = 1e-14
     carlson_slack: float = 1e-12       # feasibility threshold on Lemma slacks

@@ -19,7 +19,11 @@ unimodular eta, :func:`schur_witness` is the degree-3 product with them.
 The same products come one at a time (:class:`BlaschkeProduct`) or as a
 batch of one degree (:class:`BlaschkeBatch`, one complex array per zero),
 and :func:`triple_of_blaschke` reads (c1, c2, c3) off either with the
-same lines of arithmetic.  Samplers are pure functions of their seed:
+same lines of arithmetic.  :func:`taylor_of_blaschke` expands a product
+to any order in one linear pass per zero a, multiplying by z - a and
+dividing by 1 - conj(a) z as two-term recurrences, with no Cauchy
+product; the test suite checks it against the O(n^2) product of the
+factors' series.  Samplers are pure functions of their seed:
 :func:`_stream_uniforms` draws one stdlib stream's uniforms in blocks of
 bounded size, the search takes its (a, b) from the zeros of the degree-3
 stream, and :func:`sample_blocks` draws products of cycling degrees that
@@ -36,7 +40,7 @@ from typing import Iterator
 import numpy as np
 
 from .config import TOL
-from .series import TruncatedSeries, multiply
+from .series import TruncatedSeries
 
 
 class ZeroOutsideDisk(ValueError):
@@ -112,36 +116,29 @@ class BlaschkeBatch:
         return len(self.zeros) + 1
 
 
-def _factor_series(alpha: complex, order: int) -> TruncatedSeries:
-    # (z - a)/(1 - conj(a) z) = -a + sum_{k>=1} conj(a)^(k-1) (1 - |a|^2) z^k
-    ac = alpha.conjugate()
-    lead = 1.0 - (alpha * ac).real
-    coeffs = [-alpha]
-    p = 1.0 + 0j
-    for _ in range(order):
-        coeffs.append(p * lead)
-        p *= ac
-    return TruncatedSeries._of(tuple(coeffs))
-
-
 def taylor_of_blaschke(b: BlaschkeProduct, order: int) -> TruncatedSeries:
     """Taylor coefficients of the product up to the given order.
 
-    The constant coefficient is exactly zero.
+    The series t of the free factors starts at 1.  Each zero a multiplies
+    it by z - a and divides it by 1 - conj(a) z in one pass, through
+    p_k = t_{k-1} - a t_k and q_k = p_k + conj(a) q_{k-1}, and q replaces
+    t; the pinned factor z and the rotation then shift and scale it.  The
+    constant coefficient is exactly zero.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    if b.zeros:
-        # the first factor is the series 1 times it, but for the signs of
-        # zeros: adding 0j turns each -0.0 part into +0.0, as that product does
-        first = _factor_series(b.zeros[0], order - 1).coeffs
-        tail = TruncatedSeries._of(tuple(c + 0j for c in first))
-    else:
-        tail = TruncatedSeries.from_polynomial((1.0,), order - 1)
-    for a in b.zeros[1:]:
-        tail = multiply(tail, _factor_series(a, order - 1))
+    t = [1.0 + 0j] + [0j] * (order - 1)
+    for a in b.zeros:
+        ac = a.conjugate()
+        prev = q = 0j
+        out = []
+        for c in t:
+            q = prev - a * c + ac * q
+            prev = c
+            out.append(q)
+        t = out
     rotation = b.rotation
-    return TruncatedSeries._of((0j,) + tuple(rotation * c for c in tail.coeffs))
+    return TruncatedSeries._of((0j,) + tuple(rotation * c for c in t))
 
 
 def triple_of_blaschke(b: BlaschkeProduct | BlaschkeBatch) -> SchwarzTriple:

@@ -5,21 +5,22 @@ A :class:`TruncatedSeries` stores the coefficients of a finite expansion
     a(z) = a[0] + a[1] z + ... + a[N] z**N
 
 where ``N`` is the *order*.  Coefficients beyond the order are unknown, not
-zero, so every binary operation truncates its result to the shorter
-operand: nothing is ever fabricated beyond known data.
+zero, so no operation fabricates data beyond them.
 
-The module supplies the sum, difference and Cauchy product, reciprocal,
-antiderivative, and the series logarithm of ``f/z`` that defines the
-logarithmic coefficients of a normalized function (``f(0) = 0``,
-``f'(0) = 1``).
+The module supplies the antiderivative and the series logarithm of ``f/z``
+that defines the logarithmic coefficients of a normalized function
+(``f(0) = 0``, ``f'(0) = 1``).  It has no Cauchy product: the series that
+the program multiplies by or divides by are rational of small degree, so
+their builders, :func:`gamma3lab.schwarz.taylor_of_blaschke` and
+:func:`gamma3lab.families.member_series`, run one linear recurrence per
+factor instead.  The O(n^2) products and reciprocals they replace are kept
+as the test suite's reference, which the recurrences are checked against.
 
 Outside data is coerced to ``complex`` once, where it enters: the public
 constructor and :meth:`TruncatedSeries.from_polynomial`.  Every operation
 here computes complex coefficients from complex coefficients, so it builds
 its result directly, through :meth:`TruncatedSeries._of`, without coercing
-them again.  A series that many calls share is built once:
-:func:`gamma3lab.families.member_series` computes 1/h once per
-(generator, order).
+them again.
 
 All values are immutable and all functions are pure, so everything here is
 safe for unrestricted concurrent use.
@@ -28,14 +29,9 @@ safe for unrestricted concurrent use.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, sub
 from typing import Sequence
 
 from .config import TOL
-
-
-class ZeroConstantTerm(ArithmeticError):
-    """Reciprocal of a series whose constant term is (numerically) zero."""
 
 
 class NotNormalized(ValueError):
@@ -86,40 +82,6 @@ class TruncatedSeries:
         if order > self.order:
             raise ValueError("cannot extend a series past its known order")
         return TruncatedSeries._of(self.coeffs[: order + 1])
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        # map stops at the shorter operand
-        return TruncatedSeries._of(tuple(map(add, self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return TruncatedSeries._of(tuple(map(sub, self.coeffs, other.coeffs)))
-
-
-def multiply(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Cauchy product truncated to the shorter operand."""
-    x, y = a.coeffs, b.coeffs
-    out = []
-    for k in range(min(len(x), len(y))):
-        s = 0j
-        for i in range(k + 1):
-            s += x[i] * y[k - i]
-        out.append(s)
-    return TruncatedSeries._of(tuple(out))
-
-
-def reciprocal(a: TruncatedSeries) -> TruncatedSeries:
-    """Multiplicative inverse at the same order; needs a nonzero constant term."""
-    x = a.coeffs
-    if abs(x[0]) <= TOL.zero_constant:
-        raise ZeroConstantTerm(f"constant term {x[0]!r} is too small to invert")
-    inv0 = 1.0 / x[0]
-    out = [inv0]
-    for k in range(1, len(x)):
-        s = 0j
-        for i in range(1, k + 1):
-            s += x[i] * out[k - i]
-        out.append(-inv0 * s)
-    return TruncatedSeries._of(tuple(out))
 
 
 def antiderivative(a: TruncatedSeries) -> TruncatedSeries:

@@ -1,37 +1,43 @@
 """Test-only references: the series arithmetic, and helpers with no caller
 in the program.
 
-The index-loop bodies below are the plain definitions of the operations in
-:mod:`gamma3lab.series`: they read every coefficient through ``.coeffs``
-and build every result through the public, coercing constructor.  The
-program's operations must agree with them bit for bit, and so must
-``taylor_of_blaschke`` and ``member_series`` with their compositions
-below, which build every series afresh on every call.  ``evaluate``,
-``derivative`` and ``exp_series`` have no program twin; they are the
-independent checks of ``taylor_of_blaschke``, ``antiderivative`` and
-``log_over_z``.  ``blaschke_value`` evaluates a Blaschke product directly,
-the reference its Taylor series is checked against; ``gradient_xy``,
-``hessian_xy`` and ``is_negative_definite`` are the objective's exact
-derivatives, which check its interior maxima.  ``sample_batch`` draws a
-whole batch from one stream at once, the one-shot reference that the
-program's blocked streams are checked against, and ``row`` reads one
-product out of a batch.  ``schur_parameters`` inverts ``schur_triple``,
-whose round trip it checks, degenerate cases included.
+The index-loop bodies below are plain definitions: they read every
+coefficient through ``.coeffs`` and build every result through the public,
+coercing constructor.  ``truncate``, ``antiderivative`` and ``log_over_z``
+define the operations of :mod:`gamma3lab.series`, which must agree with
+them bit for bit.  ``add``, ``sub``, ``multiply`` and ``reciprocal`` are
+the O(n^2) sum, difference, Cauchy product and reciprocal that the program
+no longer has: ``taylor_of_blaschke`` and ``member_series`` below compose
+them factor by factor, building every series afresh on every call.  The
+program's linear recurrences must equal these compositions bit for bit on
+dyadic inputs, where both are exact, and agree with them to a few ulps on
+sampled ones; ``multiply`` also checks ``member_series`` through
+h f' (1 - w) = 1 + w, with no division.  ``evaluate``, ``derivative`` and
+``exp_series`` have no program twin; they are the independent checks of
+``taylor_of_blaschke``, ``antiderivative`` and ``log_over_z``.
+``blaschke_value`` evaluates a Blaschke product directly, the reference its
+Taylor series is checked against; ``gradient_xy``, ``hessian_xy`` and
+``is_negative_definite`` are the objective's exact derivatives, which check
+its interior maxima.  ``sample_batch`` draws a whole batch from one stream
+at once, the one-shot reference that the program's blocked streams are
+checked against, and ``row`` reads one product out of a batch.
+``schur_parameters`` inverts ``schur_triple``, whose round trip it checks,
+degenerate cases included.
 """
 
 import cmath
 import math
 import random
 
-from gamma3lab import (
-    TOL,
-    BlaschkeBatch,
-    BlaschkeProduct,
-    NotNormalized,
-    TruncatedSeries,
-    ZeroConstantTerm,
-)
+from gamma3lab import TOL, BlaschkeBatch, BlaschkeProduct, NotNormalized, TruncatedSeries
 from gamma3lab.schwarz import _batch, _draws, _uniforms
+
+#: |a0| at or below this cannot be inverted by ``reciprocal``.
+ZERO_CONSTANT = 1e-12
+
+
+class ZeroConstantTerm(ArithmeticError):
+    """Reciprocal of a series whose constant term is (numerically) zero."""
 
 
 def truncate(a: TruncatedSeries, order: int) -> TruncatedSeries:
@@ -62,7 +68,7 @@ def multiply(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
 
 
 def reciprocal(a: TruncatedSeries) -> TruncatedSeries:
-    if abs(a.coeffs[0]) <= TOL.zero_constant:
+    if abs(a.coeffs[0]) <= ZERO_CONSTANT:
         raise ZeroConstantTerm(f"constant term {a.coeffs[0]!r} is too small to invert")
     inv0 = 1.0 / a.coeffs[0]
     out = [inv0]

@@ -1,3 +1,4 @@
+import math
 import random
 import subprocess
 import sys
@@ -85,11 +86,13 @@ class TestSearchLowerBound:
         for family, iterations, seed in runs:
             for real_only in (False, True):
                 r = search_lower_bound(family, iterations, seed, real_only)
-                replay = abs(gamma3_closed_form(family, triple_of_blaschke(r.witness)))
-                assert replay == r.best_value
+                # the reported value is the witness's order-3 series value, by definition
                 w = taylor_of_blaschke(r.witness, 3).coeffs
                 series = abs(gamma3_closed_form(family, SchwarzTriple(*w[1:])))
-                assert abs(series - r.best_value) <= 1e-9
+                assert series == r.best_value
+                # the triple recurrence rounds differently: at most 5 ulp over 276 searches
+                replay = abs(gamma3_closed_form(family, triple_of_blaschke(r.witness)))
+                assert abs(replay - r.best_value) <= 8 * math.ulp(r.best_value)
 
     def test_real_only_reaches_the_sharp_real_a2_values(self):
         # their extremal Schwarz functions have conjugate-pair zeros

@@ -1,24 +1,35 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from gamma3lab import (
+    F3,
+    BlaschkeProduct,
     NotNormalized,
     TruncatedSeries,
-    ZeroConstantTerm,
     antiderivative,
     log_over_z,
-    multiply,
-    reciprocal,
+    member_series,
+    taylor_of_blaschke,
 )
 from gamma3lab.families import koebe_series
 
 import reference
 from conftest import assert_series_close, bits, normalized_series, series_strategy
-from reference import derivative, evaluate, exp_series
+from reference import (
+    ZeroConstantTerm,
+    add,
+    derivative,
+    evaluate,
+    exp_series,
+    multiply,
+    reciprocal,
+    sub,
+)
 
 
 class TestMultiply:
@@ -147,7 +158,7 @@ class TestRingLaws:
     @settings(max_examples=150)
     def test_distributive(self, a, b, c):
         assert_series_close(
-            multiply(a, b + c), multiply(a, b) + multiply(a, c), 1e-12
+            multiply(a, add(b, c)), add(multiply(a, b), multiply(a, c)), 1e-12
         )
 
     @given(series_strategy(order=6, radius=1.0))
@@ -177,7 +188,7 @@ class TestRingLaws:
 
     @given(series_strategy(order=4), series_strategy(order=4))
     def test_coefficient_count_never_promotes(self, a, b):
-        for result in (multiply(a, b), a + b, a - b):
+        for result in (multiply(a, b), add(a, b), sub(a, b)):
             assert len(result.coeffs) == result.order + 1 == 5
 
 
@@ -232,10 +243,51 @@ def _random_series(rng: random.Random, order: int) -> TruncatedSeries:
 
 ORDERS = range(11)
 
+#: Parts of dyadic coefficients: sums and products of up to eleven of them
+#: are exact in doubles, and so is a reciprocal of a unit constant term.
+_HALVES = (-1.0, -0.5, -0.0, 0.0, 0.5, 1.0)
+
+
+def _dyadic_series(rng: random.Random, order: int, head=None) -> TruncatedSeries:
+    """A series of signed zeros, small ints and halves, led by ``head`` if given."""
+    coeffs = [
+        rng.choice((rng.randint(-1, 1), complex(rng.choice(_HALVES), rng.choice(_HALVES))))
+        for _ in range(order + 1)
+    ]
+    if head is not None:
+        coeffs[0] = head
+    return TruncatedSeries(tuple(coeffs))
+
+
+def _exact(c: complex) -> tuple[Fraction, Fraction]:
+    return Fraction(c.real), Fraction(c.imag)
+
+
+def _exact_product(a: TruncatedSeries, b: TruncatedSeries) -> list[tuple[Fraction, Fraction]]:
+    """The Cauchy product in rational arithmetic, truncated to the shorter operand."""
+    out = []
+    for k in range(min(a.order, b.order) + 1):
+        re = im = Fraction(0)
+        for i in range(k + 1):
+            (xr, xi), (yr, yi) = _exact(a.coeffs[i]), _exact(b.coeffs[k - i])
+            re += xr * yr - xi * yi
+            im += xr * yi + xi * yr
+        out.append((re, im))
+    return out
+
+
+def _doubles(values: list[tuple[Fraction, Fraction]]) -> tuple[complex, ...]:
+    """Exactly representable rationals as complex numbers; a zero is +0.0,
+    as a sum that starts at 0j gives it."""
+    assert all(Fraction(float(v)) == v for pair in values for v in pair)
+    return tuple(complex(float(re), float(im)) for re, im in values)
+
 
 class TestBitForBit:
-    """Every operation equals its index-loop reference bit for bit: the
-    same sums in the same order, ±0.0 included."""
+    """Every series operation equals its index-loop reference bit for bit:
+    the same sums in the same order, ±0.0 included.  The reference's Cauchy
+    arithmetic, which the program's recurrences are checked against on
+    dyadic data, equals rational arithmetic there."""
 
     @pytest.mark.parametrize("order", ORDERS)
     def test_constructor_coerces_outside_data(self, order):
@@ -248,13 +300,17 @@ class TestBitForBit:
 
     @pytest.mark.parametrize("order", ORDERS)
     def test_binary_operations(self, order):
+        # the reference sum, difference and product are exact on dyadic data
         rng = random.Random(100 + order)
         for other in ORDERS:
             for _ in range(3):
-                a, b = _random_series(rng, order), _random_series(rng, other)
-                assert bits(multiply(a, b)) == bits(reference.multiply(a, b))
-                assert bits(a + b) == bits(reference.add(a, b))
-                assert bits(a - b) == bits(reference.sub(a, b))
+                a, b = _dyadic_series(rng, order), _dyadic_series(rng, other)
+                product = TruncatedSeries(_doubles(_exact_product(a, b)))
+                assert bits(multiply(a, b)) == bits(product)
+                terms = [(_exact(x), _exact(y)) for x, y in zip(a.coeffs, b.coeffs)]
+                # == on values: the sign of a zero sum is IEEE's, not the product's
+                assert add(a, b).coeffs == _doubles([(xr + yr, xi + yi) for (xr, xi), (yr, yi) in terms])
+                assert sub(a, b).coeffs == _doubles([(xr - yr, xi - yi) for (xr, xi), (yr, yi) in terms])
 
     @pytest.mark.parametrize("order", ORDERS)
     def test_reciprocal(self, order):
@@ -264,8 +320,12 @@ class TestBitForBit:
             if abs(a.coeffs[0]) <= 1e-12:
                 with pytest.raises(ZeroConstantTerm):
                     reciprocal(a)
-                a = TruncatedSeries((rng.choice((1, -0.5, 0.5j, 2.0 - 1j)),) + a.coeffs[1:])
-            assert bits(reciprocal(a)) == bits(reference.reciprocal(a))
+            # a unit constant term: the reciprocal and its product with a are exact
+            a = _dyadic_series(rng, order, head=rng.choice((1, -1.0, 1j, complex(-0.0, -1.0))))
+            one = TruncatedSeries.from_polynomial((1.0,), order)
+            assert bits(multiply(a, reciprocal(a))) == bits(one)
+            inverse = reciprocal(a).coeffs
+            assert _exact_product(a, TruncatedSeries(inverse)) == [(1, 0)] + [(0, 0)] * order
 
     @pytest.mark.parametrize("order", ORDERS)
     def test_antiderivative_and_truncate(self, order):
@@ -295,5 +355,12 @@ class TestBitForBit:
         assert bits(a) == bits(TruncatedSeries((1 + 1j, 0.5, 2)))
         b = TruncatedSeries.from_polynomial((np.complex128(-0.0), np.int64(3)), 3)
         assert bits(b) == bits(TruncatedSeries.from_polynomial((-0.0, 3), 3))
-        for result in (multiply(a, b), reciprocal(a), antiderivative(b), a + b, a - b, b.truncate(1)):
+        w = TruncatedSeries.from_polynomial((0, np.float64(0.5), np.complex128(0.25j)), 3)
+        blaschke = BlaschkeProduct((np.complex128(0.5 - 0.25j),), np.complex128(-1j))
+        for result in (
+            member_series(F3, w, 4),
+            taylor_of_blaschke(blaschke, 4),
+            antiderivative(b),
+            b.truncate(1),
+        ):
             bits(result)
