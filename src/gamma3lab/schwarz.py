@@ -23,11 +23,14 @@ same lines of arithmetic.  :func:`taylor_of_blaschke` expands a product
 to any order in one linear pass per zero a, multiplying by z - a and
 dividing by 1 - conj(a) z as two-term recurrences, with no Cauchy
 product; the test suite checks it against the O(n^2) product of the
-factors' series.  Samplers are pure functions of their seed:
-:func:`_stream_uniforms` draws one stdlib stream's uniforms in blocks of
-bounded size, the search takes its (a, b) from the zeros of the degree-3
-stream, and :func:`sample_blocks` draws products of cycling degrees that
-way.
+factors' series.  Samplers are pure functions of their seed: every
+stream is ``random.Random(key)`` with a string key naming its purpose,
+which CPython seeds with all of the key's bytes, so distinct keys draw
+distinct streams for seeds of any size and sign.
+:func:`_stream_uniforms` draws a stream's uniforms in blocks of bounded
+size, and :func:`sample_blocks` draws products of cycling degrees from
+the keys ``products/{seed}/{degree}``, one uniform per real zero, two per
+complex zero (radius, then angle) and one for the rotation.
 """
 
 from __future__ import annotations
@@ -205,15 +208,12 @@ def _draws(degree: int, real_only: bool) -> int:
     return (degree - 1) * (1 if real_only else 2) + 1
 
 
-def _uniforms(data: bytes, degree: int, real_only: bool) -> np.ndarray:
-    """Uniforms in [0, 1) from random bytes, 8 bytes each, one column per product.
-
-    Column j holds product j's run of uniforms: for each zero a radius and
-    an angle draw (or one draw when real), then a rotation draw.
-    """
+def _uniforms(data: bytes, rows: int) -> np.ndarray:
+    """Uniforms in [0, 1) from random bytes, 8 bytes each, ``rows`` to a column:
+    column j holds sample j's run of uniforms."""
     # the top 53 bits of each 64-bit word give a double in [0, 1), as random() does
     bits = np.frombuffer(data, dtype="<u8") >> 11
-    return (bits * 2.0**-53).reshape(-1, _draws(degree, real_only)).T
+    return (bits * 2.0**-53).reshape(-1, rows).T
 
 
 def _zeros(u: np.ndarray, real_only: bool) -> tuple[np.ndarray, ...]:
@@ -241,28 +241,20 @@ def _batch(u: np.ndarray, real_only: bool) -> BlaschkeBatch:
     return BlaschkeBatch(_zeros(u[:-1], real_only), rotation)
 
 
-def _derive_seed(master: int, index: int) -> int:
-    # fixed multiplicative mixing so distinct masters cannot share streams
-    return (master * 0x9E3779B97F4A7C15 + index) % (1 << 63)
-
-
-#: Most products in one block of :func:`_stream_uniforms`, which bounds its memory.
+#: Most samples (columns) in one block of :func:`_stream_uniforms`, which bounds its memory.
 BLOCK_ROWS = 10_000
 
 
-def _stream_uniforms(
-    seed: int, degree: int, n: int, real_only: bool = False
-) -> Iterator[np.ndarray]:
-    """The uniforms of n products of one degree from one ``random.Random(seed)``
-    stream, in consecutive blocks of at most ``BLOCK_ROWS`` columns (products).
+def _stream_uniforms(key: str, rows: int, n: int) -> Iterator[np.ndarray]:
+    """The uniforms of n samples, ``rows`` each, from one ``random.Random(key)``
+    stream, in consecutive blocks of at most ``BLOCK_ROWS`` columns (samples).
 
     Each block continues the stream where the previous one stopped, so the
     first m columns do not depend on n >= m.
     """
-    rng = random.Random(seed)
+    rng = random.Random(key)
     for start in range(0, n, BLOCK_ROWS):
-        rows = min(BLOCK_ROWS, n - start)
-        yield _uniforms(rng.randbytes(8 * rows * _draws(degree, real_only)), degree, real_only)
+        yield _uniforms(rng.randbytes(8 * rows * min(BLOCK_ROWS, n - start)), rows)
 
 
 def sample_blocks(
@@ -271,15 +263,15 @@ def sample_blocks(
     """n products with degrees cycling 1..max_degree, in batches of one degree.
 
     Sample i has degree 1 + i % max_degree and is row i // max_degree of
-    that degree's stream, seeded by mixing ``seed`` with the degree, so
-    distinct seeds draw distinct streams.  Each stream comes from
+    that degree's stream, keyed ``products/{seed}/{degree}``, so distinct
+    seeds draw distinct streams.  Each stream comes from
     :func:`_stream_uniforms`, in batches of at most ``BLOCK_ROWS`` rows.
     """
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
     for degree in range(1, min(max_degree, n) + 1):
         count = len(range(degree - 1, n, max_degree))
-        for u in _stream_uniforms(_derive_seed(seed, degree), degree, count, real_only):
+        for u in _stream_uniforms(f"products/{seed}/{degree}", _draws(degree, real_only), count):
             yield _batch(u, real_only)
 
 

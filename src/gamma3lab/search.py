@@ -9,25 +9,26 @@ runs over (a, b) alone.
 
 The budget splits 70/30 between global sampling and refinement.  The
 global phase evaluates (a, b), area-uniform on the bidisk (uniform on
-(-1, 1)^2 when real-only): the zeros of degree-3 sample batches of bounded
-size, their rotations left undecoded, all drawn from one stream seeded by
-fixed integer mixing of the master seed, so distinct seeds share no stream
-and a run is deterministic.  With c1 = a and c2 = (1 - |a|^2) b, the
-objective of :mod:`gamma3lab.objective` at (|a|, (1 - |a|^2)|b|) bounds
-the value at the best eta from above and needs only the radii, so a point
-is evaluated only if that majorant reaches the tenth-best value kept so
-far; while fewer than ten are kept, a block seeds that floor with the
-exact values at its ten largest majorants.  One running top ten takes in
-each block's evaluated points, and no point of the overall top ten is
-skipped, so the ten best are those of evaluating every point.  They are
-refined in lockstep by moving a or b by +-step (and +-i step unless
-real-only), keeping each one's best move of a round and halving its step
-after a round without progress; the refinement budget is split evenly,
-and its remainder goes to the first candidates in top order.  The best
-point becomes one witness (:func:`gamma3lab.schwarz.schur_witness`), a
-degree-3 product whose zeros are real or a conjugate pair in real-only
-searches.  Its series value must match the Schur value, and is reported.
-The proved bound is certified once per family per process.
+(-1, 1)^2 when real-only), in blocks of bounded size from the one stream
+keyed ``search/{seed}``, which no other sampler and no other seed draws,
+so a run is deterministic.  Each point reads four uniforms, a's radius
+and angle then b's, or two, a's then b's, when real-only.  With c1 = a
+and c2 = (1 - |a|^2) b, the objective of :mod:`gamma3lab.objective` at
+(|a|, (1 - |a|^2)|b|) bounds the value at the best eta from above and
+needs only the radii, so a point is evaluated only if that majorant
+reaches the tenth-best value kept so far; while fewer than ten are kept,
+a block seeds that floor with the exact values at its ten largest
+majorants.  One running top ten takes in each block's evaluated points,
+and no point of the overall top ten is skipped, so the ten best are
+those of evaluating every point.  They are refined in lockstep by moving
+a or b by +-step (and +-i step unless real-only), keeping each one's
+best move of a round and halving its step after a round without
+progress; the refinement budget is split evenly, and its remainder goes
+to the first candidates in top order.  The best point becomes one
+witness (:func:`gamma3lab.schwarz.schur_witness`), a degree-3 product
+whose zeros are real or a conjugate pair in real-only searches.  Its
+series value must match the Schur value, and is reported.  The proved
+bound is certified once per family per process.
 
 Whether the general (complex a2) upper bounds are attained is open; a
 result's gap quantifies the remaining interval without drawing conclusions.
@@ -48,7 +49,6 @@ from .optimize import global_bound
 from .schwarz import (
     BlaschkeProduct,
     SchwarzTriple,
-    _derive_seed,
     _radii,
     _stream_uniforms,
     _zeros,
@@ -133,7 +133,7 @@ def _schur_value(family: Family, a, b):
 
 
 def _majorant(family: Family, u: np.ndarray, real_only: bool) -> np.ndarray:
-    """Upper bounds on :func:`_schur_value` at the zeros (a, b) drawn from ``u``.
+    """Upper bounds on :func:`_schur_value` at the points (a, b) drawn from ``u``.
 
     The objective at x = |a|, y = |c2| = (1 - |a|^2)|b| is the triangle
     inequality applied to scale * |P|, and its w3 term equals the eta term
@@ -208,12 +208,10 @@ def search_lower_bound(
         raise ValueError("iterations must be >= 1")
     upper_bound = _proved_bound(family)
     n_global = max(1, round(_GLOBAL_FRACTION * iterations))
-    # the zeros of a degree-3 batch, without its rotation, have the law wanted for (a, b);
     # values, a, b are the top ten so far by (-value, index); a block's rows whose majorant
     # reaches their tenth-best value come after them in index order, so position is index
     values = a = b = np.empty(0)
-    for u in _stream_uniforms(_derive_seed(seed, 3), 3, n_global, real_only):
-        u = u[:-1]  # the zeros' rows, without the rotation's
+    for u in _stream_uniforms(f"search/{seed}", 2 if real_only else 4, n_global):
         bound = _majorant(family, u, real_only)
         floor = _floor(values)
         if floor == -np.inf:  # the exact values at the block's largest majorants give one

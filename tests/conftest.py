@@ -22,9 +22,9 @@ def bits(s: TruncatedSeries) -> tuple[tuple[str, str], ...]:
     return tuple((c.real.hex(), c.imag.hex()) for c in s.coeffs)
 
 
-def sampled_product(seed: int, degree: int, real_only: bool = False):
+def sampled_product(key: str | int, degree: int, real_only: bool = False):
     """One seeded Blaschke product: the one-row batch of ``sample_batch``."""
-    return row(sample_batch(seed, degree, 1, real_only), 0)
+    return row(sample_batch(key, degree, 1, real_only), 0)
 
 
 def bounded_complex(radius: float = 1.0):

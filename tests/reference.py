@@ -18,9 +18,10 @@ h f' (1 - w) = 1 + w, with no division.  ``evaluate``, ``derivative`` and
 ``blaschke_value`` evaluates a Blaschke product directly, the reference its
 Taylor series is checked against; ``gradient_xy``, ``hessian_xy`` and
 ``is_negative_definite`` are the objective's exact derivatives, which check
-its interior maxima.  ``sample_batch`` draws a whole batch from one stream
-at once, the one-shot reference that the program's blocked streams are
-checked against, and ``row`` reads one product out of a batch.
+its interior maxima.  ``sample_batch`` and ``search_points`` draw a whole
+batch of products or of a search's (a, b) from one stream at once, the
+one-shot references that the program's blocked streams are checked
+against, and ``row`` reads one product out of a batch.
 ``schur_parameters`` inverts ``schur_triple``, whose round trip it checks,
 degenerate cases included.
 """
@@ -30,7 +31,7 @@ import math
 import random
 
 from gamma3lab import TOL, BlaschkeBatch, BlaschkeProduct, NotNormalized, TruncatedSeries
-from gamma3lab.schwarz import _batch, _draws, _uniforms
+from gamma3lab.schwarz import _batch, _draws, _uniforms, _zeros
 
 #: |a0| at or below this cannot be inverted by ``reciprocal``.
 ZERO_CONSTANT = 1e-12
@@ -184,19 +185,29 @@ def is_negative_definite(h: tuple[tuple[float, float], tuple[float, float]]) -> 
     return h[0][0] < 0.0 and h[0][0] * h[1][1] - h[0][1] * h[1][0] > 0.0
 
 
-def sample_batch(seed: int, degree: int, n: int, real_only: bool = False) -> BlaschkeBatch:
+def _stream(key: str | int, rows: int, n: int):
+    """n columns of ``rows`` uniforms from one ``random.Random(key)`` stream, drawn at once."""
+    return _uniforms(random.Random(key).randbytes(8 * n * rows), rows)
+
+
+def sample_batch(key: str | int, degree: int, n: int, real_only: bool = False) -> BlaschkeBatch:
     """n deterministic random Blaschke products of the given degree.
 
     Complex zeros are area-uniform on the open disk (radius = sqrt(u));
     the rotation is uniform on the circle.  With ``real_only`` the zeros
     are uniform on (-1, 1) and the rotation is +-1, which makes all Taylor
-    coefficients real.  All uniforms come from one ``random.Random(seed)``
-    stream, so the first m products do not depend on n >= m.
+    coefficients real.  All uniforms come from one ``random.Random(key)``
+    stream, so the first m products do not depend on n >= m;
+    ``sample_blocks`` keys degree d's stream ``products/{seed}/{d}``.
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
-    data = random.Random(seed).randbytes(8 * n * _draws(degree, real_only))
-    return _batch(_uniforms(data, degree, real_only), real_only)
+    return _batch(_stream(key, _draws(degree, real_only), n), real_only)
+
+
+def search_points(seed: int, n: int, real_only: bool = False):
+    """The first n points (a, b) of the search's global phase at this seed."""
+    return _zeros(_stream(f"search/{seed}", 2 if real_only else 4, n), real_only)
 
 
 def row(batch: BlaschkeBatch, j: int) -> BlaschkeProduct:

@@ -134,6 +134,15 @@ class TestVerifyCarlson:
         args = ("verify-carlson", "--samples", "2000", "--seed", "3", "--real-only")
         assert run_cli(capsys, *args) == run_cli(capsys, *args)
 
+    def test_seeds_congruent_mod_two_to_the_63_find_different_slacks(self, capsys):
+        # 5 - 2**63 would share every stream with 5 if seeds were reduced mod 2**63
+        slacks = [
+            json.loads(run_cli(capsys, "verify-carlson", "--samples", "3000", "--seed", seed,
+                               "--format", "json")[1])["worst_slacks"]
+            for seed in ("5", str(5 - 2**63))
+        ]
+        assert slacks[0] != slacks[1]
+
 
 class TestSearch:
     def test_small_search_json(self, capsys):
@@ -158,6 +167,10 @@ class TestSearch:
     def test_byte_identical(self, capsys):
         args = ("search", "f3", "--iterations", "2000", "--seed", "4", "--format", "json")
         assert run_cli(capsys, *args) == run_cli(capsys, *args)
+
+    def test_seeds_congruent_mod_two_to_the_63_print_different_bytes(self, capsys):
+        args = ("search", "f1", "--iterations", "2000", "--format", "json", "--seed")
+        assert run_cli(capsys, *args, "1") != run_cli(capsys, *args, str(2**63 + 1))
 
     @pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "json")])
     def test_output_bytes_are_pinned(self, capsys, fmt, suffix):
@@ -219,6 +232,17 @@ class TestModuleEntryPoint:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == (GOLDEN / "bound_f3.txt").read_text(encoding="utf-8") + "False\n"
+
+
+class TestScripts:
+    def test_run_search_rejects_a_zero_budget_as_a_usage_error(self):
+        script = Path(__file__).parent.parent / "scripts" / "run_search.py"
+        proc = subprocess.run(
+            [sys.executable, str(script), "--iterations", "0"], capture_output=True, text=True
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert "error: argument --iterations: must be >= 1" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestSharedParser:

@@ -26,7 +26,7 @@ from gamma3lab import (
     triple_of_blaschke,
 )
 from gamma3lab import schwarz
-from gamma3lab.schwarz import _batch, _derive_seed, _uniforms, in_body
+from gamma3lab.schwarz import _batch, _uniforms, in_body
 
 import reference
 from reference import blaschke_value, row, sample_batch, schur_parameters
@@ -210,9 +210,10 @@ class TestSampleBatch:
         assert (short.rotation == long.rotation[:10]).all()
 
     def test_real_only_all_zero_bytes_stay_inside_the_disk(self):
-        # u = 0 gives a = -1, which the guard sends to 0
+        # u = 0 gives a = -1, which the guard sends to 0; a real-only product reads
+        # one uniform per free zero and one for its rotation, degree in all
         n, degree = 8, 5
-        batch = _batch(_uniforms(bytes(8 * n * degree), degree, True), real_only=True)
+        batch = _batch(_uniforms(bytes(8 * n * degree), degree), real_only=True)
         assert len(batch.rotation) == n and batch.degree == degree
         assert all((abs(a) < 1.0).all() for a in batch.zeros)
         assert all((a == 0).all() for a in batch.zeros)
@@ -261,6 +262,12 @@ class TestSampleBlocks:
         # if sample i were seeded with seed + i
         assert not _products(sample_blocks(1, 3000, 6)) & _products(sample_blocks(7, 3000, 6))
 
+    @pytest.mark.parametrize("seed", [1, 5, -(2**63) + 5, 2**64 + 1])
+    def test_seeds_congruent_mod_two_to_the_63_share_no_product(self, seed):
+        # a seed reduced mod 2**63 would give both the same streams
+        other = seed + 2**63
+        assert not _products(sample_blocks(seed, 600, 6)) & _products(sample_blocks(other, 600, 6))
+
     def test_chunked_rows_are_the_unchunked_rows(self, monkeypatch):
         monkeypatch.setattr(schwarz, "BLOCK_ROWS", 7)
         for real_only in (False, True):
@@ -269,7 +276,7 @@ class TestSampleBlocks:
             for degree in (1, 2, 3, 4):
                 chunks = [b for b in blocks if b.degree == degree]
                 count = len(range(degree - 1, 101, 4))
-                whole = sample_batch(_derive_seed(3, degree), degree, count, real_only)
+                whole = sample_batch(f"products/3/{degree}", degree, count, real_only)
                 for k, a in enumerate(whole.zeros):
                     assert (np.concatenate([c.zeros[k] for c in chunks]) == a).all()
                 assert (np.concatenate([c.rotation for c in chunks]) == whole.rotation).all()
