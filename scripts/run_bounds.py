@@ -4,13 +4,12 @@
 Usage: python scripts/run_bounds.py
 """
 
-import argparse
-
 from gamma3lab import FAMILIES, global_bound
+from gamma3lab.cli import _ScriptParser
 
 
 def main() -> None:
-    argparse.ArgumentParser(description=__doc__).parse_args()
+    _ScriptParser(description=__doc__).parse_args()
 
     header = f"{'family':<8}{'interior max':>16}{'best edge':>14}{'grid check':>14}{'|gamma3| bound':>17}"
     print(header)

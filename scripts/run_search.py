@@ -8,23 +8,13 @@ one exists).
 Usage: python scripts/run_search.py [--iterations 100000] [--seed 1]
 """
 
-import argparse
-import sys
-
 from gamma3lab import FAMILIES, search_lower_bound
-from gamma3lab.cli import _ranged
+from gamma3lab.cli import _ranged, _ScriptParser
 from gamma3lab.config import DEFAULT_ITERATIONS, DEFAULT_SEED
 
 
-class _Parser(argparse.ArgumentParser):
-    # usage errors exit 1, as gamma3lab's do, not argparse's default 2
-    def error(self, message: str):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
-
-
 def main() -> None:
-    parser = _Parser(description=__doc__)
+    parser = _ScriptParser(description=__doc__)
     parser.add_argument("--iterations", type=_ranged(int, 1), default=DEFAULT_ITERATIONS)
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     args = parser.parse_args()

@@ -53,6 +53,14 @@ class _Parser(argparse.ArgumentParser):
         raise _ParserExit(status)
 
 
+class _ScriptParser(argparse.ArgumentParser):
+    """The parser of the experiment scripts: a usage error exits 1, as :func:`main` returns it."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 #: Products of ``verify-carlson`` cycle through the degrees 1..CARLSON_MAX_DEGREE.
 CARLSON_MAX_DEGREE = 6
 

@@ -23,14 +23,24 @@ same lines of arithmetic.  :func:`taylor_of_blaschke` expands a product
 to any order in one linear pass per zero a, multiplying by z - a and
 dividing by 1 - conj(a) z as two-term recurrences, with no Cauchy
 product; the test suite checks it against the O(n^2) product of the
-factors' series.  Samplers are pure functions of their seed: every
-stream is ``random.Random(key)`` with a string key naming its purpose,
-which CPython seeds with all of the key's bytes, so distinct keys draw
-distinct streams for seeds of any size and sign.
-:func:`_stream_uniforms` draws a stream's uniforms in blocks of bounded
-size, and :func:`sample_blocks` draws products of cycling degrees from
-the keys ``products/{seed}/{degree}``, one uniform per real zero, two per
-complex zero (radius, then angle) and one for the rotation.
+factors' series.
+
+Samplers are pure functions of their seed.  Every stream is keyed by a
+string naming its purpose, and its origin is 64 bits of
+``random.Random(key)``, which CPython seeds with all of the key's bytes
+plus their SHA-512.  Word i of the stream is the SplitMix64 finalizer
+(Steele, Lea and Flood 2014) of origin + (i + 1) gamma mod 2^64, a
+counter-based generator (Salmon et al. 2011) in numpy ``uint64``
+arithmetic: any word is drawn without the others (:func:`_draw`), and
+each decodes to a uniform by its top 53 bits.  The counters of two
+streams of n words each are two runs of n steps by gamma from unrelated
+origins, and the finalizer is a bijection, so the streams share a word
+with probability at most 2n/2^64, whatever the arithmetic relation
+between their seeds.  :func:`sample_blocks` draws products of cycling
+degrees from the keys ``products/{seed}/{degree}``, or
+``products/real/{seed}/{degree}`` when real-only: one uniform per real
+zero, two per complex zero (radius, then angle) and one for the
+rotation, in blocks of at most ``BLOCK_ROWS`` products (:func:`_columns`).
 """
 
 from __future__ import annotations
@@ -208,14 +218,6 @@ def _draws(degree: int, real_only: bool) -> int:
     return (degree - 1) * (1 if real_only else 2) + 1
 
 
-def _uniforms(data: bytes, rows: int) -> np.ndarray:
-    """Uniforms in [0, 1) from random bytes, 8 bytes each, ``rows`` to a column:
-    column j holds sample j's run of uniforms."""
-    # the top 53 bits of each 64-bit word give a double in [0, 1), as random() does
-    bits = np.frombuffer(data, dtype="<u8") >> 11
-    return (bits * 2.0**-53).reshape(-1, rows).T
-
-
 def _zeros(u: np.ndarray, real_only: bool) -> tuple[np.ndarray, ...]:
     """Zeros from rows of uniforms: a radius and an angle row per zero, or one row when real."""
     if real_only:
@@ -225,12 +227,12 @@ def _zeros(u: np.ndarray, real_only: bool) -> tuple[np.ndarray, ...]:
 
 
 def _radii(u: np.ndarray, real_only: bool) -> np.ndarray:
-    """The moduli of the zeros that :func:`_zeros` draws from ``u``, one row
-    per zero, without decoding the angles."""
+    """The moduli of the zeros that :func:`_zeros` draws, from their radius rows
+    alone: every row of its ``u`` when real, ``u[::2]`` otherwise."""
     if real_only:
         r = abs(2.0 * u - 1.0)
         return np.where(r < 1.0, r, 0.0)
-    return np.sqrt(u[::2])
+    return np.sqrt(u)
 
 
 def _batch(u: np.ndarray, real_only: bool) -> BlaschkeBatch:
@@ -241,20 +243,58 @@ def _batch(u: np.ndarray, real_only: bool) -> BlaschkeBatch:
     return BlaschkeBatch(_zeros(u[:-1], real_only), rotation)
 
 
-#: Most samples (columns) in one block of :func:`_stream_uniforms`, which bounds its memory.
+#: Most samples (columns) in one block of :func:`_columns`, which bounds the memory of a draw.
 BLOCK_ROWS = 10_000
 
+# SplitMix64 (Steele, Lea and Flood 2014): the counter's increment, the odd integer
+# nearest 2^64 over the golden ratio, and its finalizer's two multipliers.  Every
+# constant is an np.uint64: with a Python int, numpy 1.24 would promote uint64 arithmetic
+# to float64, and on uint64 arrays the arithmetic wraps mod 2^64 without a warning.
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+_ONE, _R30, _R27, _R31, _R11 = (np.uint64(k) for k in (1, 30, 27, 31, 11))
 
-def _stream_uniforms(key: str, rows: int, n: int) -> Iterator[np.ndarray]:
-    """The uniforms of n samples, ``rows`` each, from one ``random.Random(key)``
-    stream, in consecutive blocks of at most ``BLOCK_ROWS`` columns (samples).
 
-    Each block continues the stream where the previous one stopped, so the
-    first m columns do not depend on n >= m.
+def _origin(key: str | int) -> np.uint64:
+    """The origin of the stream keyed ``key``: 64 bits of ``random.Random(key)``,
+    which seeds a str from all of its bytes plus their SHA-512."""
+    return np.uint64(random.Random(key).getrandbits(64))
+
+
+def _words(origin: np.uint64, index: np.ndarray) -> np.ndarray:
+    """Words ``index`` (a uint64 array) of the stream at ``origin``: word i is the
+    SplitMix64 finalizer of origin + (i + 1) gamma mod 2^64, so each word is drawn
+    on its own, in any order."""
+    z = origin + (index + _ONE) * _GAMMA
+    z ^= z >> _R30
+    z *= _MIX1
+    z ^= z >> _R27
+    z *= _MIX2
+    z ^= z >> _R31
+    return z
+
+
+def _uniforms(words: np.ndarray) -> np.ndarray:
+    """Uniforms in [0, 1) from 64-bit words: the top 53 bits of each, as random() decodes."""
+    return (words >> _R11) * 2.0**-53
+
+
+def _draw(origin: np.uint64, rows: int, which, columns: np.ndarray) -> np.ndarray:
+    """The uniforms of rows ``which`` of the samples ``columns`` (a uint64 array), one
+    line per row: sample j owns ``rows`` uniforms, and its row r is word j rows + r.
+
+    Any row of any sample is drawn without the others, and sample j's rows do not
+    depend on how many samples are drawn, nor on which.
     """
-    rng = random.Random(key)
+    index = columns * np.uint64(rows) + np.array(which, dtype=np.uint64)[:, None]
+    return _uniforms(_words(origin, index))
+
+
+def _columns(n: int) -> Iterator[np.ndarray]:
+    """The sample indices 0..n-1, as uint64 arrays of at most ``BLOCK_ROWS`` in order."""
     for start in range(0, n, BLOCK_ROWS):
-        yield _uniforms(rng.randbytes(8 * rows * min(BLOCK_ROWS, n - start)), rows)
+        yield np.arange(start, min(start + BLOCK_ROWS, n), dtype=np.uint64)
 
 
 def sample_blocks(
@@ -262,17 +302,18 @@ def sample_blocks(
 ) -> Iterator[BlaschkeBatch]:
     """n products with degrees cycling 1..max_degree, in batches of one degree.
 
-    Sample i has degree 1 + i % max_degree and is row i // max_degree of
-    that degree's stream, keyed ``products/{seed}/{degree}``, so distinct
-    seeds draw distinct streams.  Each stream comes from
-    :func:`_stream_uniforms`, in batches of at most ``BLOCK_ROWS`` rows.
+    Sample i has degree 1 + i % max_degree and is sample i // max_degree of
+    that degree's stream, keyed ``products/{seed}/{degree}``, or
+    ``products/real/{seed}/{degree}`` when real-only, so distinct seeds and
+    modes draw distinct streams.  It comes in batches of at most ``BLOCK_ROWS``.
     """
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
+    mode = "real/" if real_only else ""
     for degree in range(1, min(max_degree, n) + 1):
-        count = len(range(degree - 1, n, max_degree))
-        for u in _stream_uniforms(f"products/{seed}/{degree}", _draws(degree, real_only), count):
-            yield _batch(u, real_only)
+        origin, rows = _origin(f"products/{mode}{seed}/{degree}"), _draws(degree, real_only)
+        for columns in _columns(len(range(degree - 1, n, max_degree))):
+            yield _batch(_draw(origin, rows, range(rows), columns), real_only)
 
 
 def carlson_check(c: SchwarzTriple) -> tuple[float, float, float]:

@@ -9,16 +9,20 @@ runs over (a, b) alone.
 
 The budget splits 70/30 between global sampling and refinement.  The
 global phase evaluates (a, b), area-uniform on the bidisk (uniform on
-(-1, 1)^2 when real-only), in blocks of bounded size from the one stream
-keyed ``search/{seed}``, which no other sampler and no other seed draws,
-so a run is deterministic.  Each point reads four uniforms, a's radius
-and angle then b's, or two, a's then b's, when real-only.  With c1 = a
-and c2 = (1 - |a|^2) b, the objective of :mod:`gamma3lab.objective` at
+(-1, 1)^2 when real-only), in blocks of bounded size from the one
+counter-based stream keyed ``search/{seed}``, or ``search/real/{seed}``
+when real-only, which no other sampler, seed or mode draws, so a run is
+deterministic.  Each point owns four uniforms, a's radius and angle then
+b's, or two, a's then b's, when real-only.  With c1 = a and
+c2 = (1 - |a|^2) b, the objective of :mod:`gamma3lab.objective` at
 (|a|, (1 - |a|^2)|b|) bounds the value at the best eta from above and
-needs only the radii, so a point is evaluated only if that majorant
+needs only the radii, so a block draws the radius rows of every point,
+and a point is evaluated, its angle rows drawn, only if that majorant
 reaches the tenth-best value kept so far; while fewer than ten are kept,
 a block seeds that floor with the exact values at its ten largest
-majorants.  One running top ten takes in each block's evaluated points,
+majorants.  Most points never draw their angles; a point's uniforms are
+the same whether or not the others are drawn, so skipping them changes
+no result.  One running top ten takes in each block's evaluated points,
 and no point of the overall top ten is skipped, so the ten best are
 those of evaluating every point.  They are refined in lockstep by moving
 a or b by +-step (and +-i step unless real-only), keeping each one's
@@ -49,8 +53,10 @@ from .optimize import global_bound
 from .schwarz import (
     BlaschkeProduct,
     SchwarzTriple,
+    _columns,
+    _draw,
+    _origin,
     _radii,
-    _stream_uniforms,
     _zeros,
     schur_triple,
     schur_witness,
@@ -132,16 +138,26 @@ def _schur_value(family: Family, a, b):
     return abs(p) + family.gamma3_weights[3] * ka * kb / family.scale
 
 
-def _majorant(family: Family, u: np.ndarray, real_only: bool) -> np.ndarray:
-    """Upper bounds on :func:`_schur_value` at the points (a, b) drawn from ``u``.
+def _majorant(family: Family, radii: np.ndarray, real_only: bool) -> np.ndarray:
+    """Upper bounds on :func:`_schur_value` at the points (a, b) whose radius rows are ``radii``.
 
     The objective at x = |a|, y = |c2| = (1 - |a|^2)|b| is the triangle
     inequality applied to scale * |P|, and its w3 term equals the eta term
     w3 (1 - |a|^2)(1 - |b|^2) plus w3 (1 - |a|^2)|a||b|^2, the modulus of
-    P's; ``TOL.tie_break`` covers rounding.  Only the radii are decoded.
+    P's; ``TOL.tie_break`` covers rounding.  It needs no angle.
     """
-    x, r = _radii(u, real_only)
+    x, r = _radii(radii, real_only)
     return value_xy(family, x, (1.0 - x * x) * r) / family.scale + TOL.tie_break
+
+
+def _points(origin: np.uint64, columns: np.ndarray, radii: np.ndarray, real_only: bool):
+    """The points (a, b) of the samples ``columns``, whose radius rows are ``radii``:
+    only their angle rows, 1 and 3 of four, are drawn here."""
+    if real_only:
+        return _zeros(radii, True)
+    u = np.empty((4, len(columns)))
+    u[::2], u[1::2] = radii, _draw(origin, 4, (1, 3), columns)
+    return _zeros(u, False)
 
 
 def _floor(values: np.ndarray) -> float:
@@ -211,13 +227,18 @@ def search_lower_bound(
     # values, a, b are the top ten so far by (-value, index); a block's rows whose majorant
     # reaches their tenth-best value come after them in index order, so position is index
     values = a = b = np.empty(0)
-    for u in _stream_uniforms(f"search/{seed}", 2 if real_only else 4, n_global):
-        bound = _majorant(family, u, real_only)
+    origin = _origin(f"search/real/{seed}" if real_only else f"search/{seed}")
+    rows, radius_rows = (2, (0, 1)) if real_only else (4, (0, 2))
+    for columns in _columns(n_global):
+        radii = _draw(origin, rows, radius_rows, columns)
+        bound = _majorant(family, radii, real_only)
         floor = _floor(values)
         if floor == -np.inf:  # the exact values at the block's largest majorants give one
-            first = _schur_value(family, *_zeros(u[:, _top_candidates(bound)], real_only))
+            top = _top_candidates(bound)
+            first = _schur_value(family, *_points(origin, columns[top], radii[:, top], real_only))
             floor = _floor(np.concatenate([values, first]))
-        block_a, block_b = _zeros(u[:, bound >= floor], real_only)
+        keep = bound >= floor
+        block_a, block_b = _points(origin, columns[keep], radii[:, keep], real_only)
         values = np.concatenate([values, _schur_value(family, block_a, block_b)])
         a, b = np.concatenate([a, block_a]), np.concatenate([b, block_b])
         top = _top_candidates(values)

@@ -30,8 +30,10 @@ import cmath
 import math
 import random
 
+import numpy as np
+
 from gamma3lab import TOL, BlaschkeBatch, BlaschkeProduct, NotNormalized, TruncatedSeries
-from gamma3lab.schwarz import _batch, _draws, _uniforms, _zeros
+from gamma3lab.schwarz import _batch, _draws, _zeros
 
 #: |a0| at or below this cannot be inverted by ``reciprocal``.
 ZERO_CONSTANT = 1e-12
@@ -185,9 +187,31 @@ def is_negative_definite(h: tuple[tuple[float, float], tuple[float, float]]) -> 
     return h[0][0] < 0.0 and h[0][0] * h[1][1] - h[0][1] * h[1][0] > 0.0
 
 
-def _stream(key: str | int, rows: int, n: int):
-    """n columns of ``rows`` uniforms from one ``random.Random(key)`` stream, drawn at once."""
-    return _uniforms(random.Random(key).randbytes(8 * n * rows), rows)
+#: SplitMix64's increment and finalizer multipliers, as Python ints.
+_GAMMA, _MIX1, _MIX2 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+_MASK = 2**64 - 1
+
+
+def stream_word(origin: int, i: int) -> int:
+    """Word i of the stream at ``origin``, in Python ints masked to 64 bits: the
+    SplitMix64 finalizer of origin + (i + 1) gamma mod 2^64, one word at a time."""
+    z = (origin + (i + 1) * _GAMMA) & _MASK
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK
+    return z ^ (z >> 31)
+
+
+def stream_words(key: str | int, n: int) -> list[int]:
+    """The first n words of the stream keyed ``key``, from the origin
+    ``random.Random(key).getrandbits(64)``."""
+    origin = random.Random(key).getrandbits(64)
+    return [stream_word(origin, i) for i in range(n)]
+
+
+def _stream(key: str | int, rows: int, n: int) -> np.ndarray:
+    """n columns of ``rows`` uniforms, the first n * rows words of one stream in order."""
+    words = np.array(stream_words(key, n * rows), dtype=np.uint64)
+    return (words >> np.uint64(11)).reshape(n, rows).T * 2.0**-53
 
 
 def sample_batch(key: str | int, degree: int, n: int, real_only: bool = False) -> BlaschkeBatch:
@@ -196,9 +220,9 @@ def sample_batch(key: str | int, degree: int, n: int, real_only: bool = False) -
     Complex zeros are area-uniform on the open disk (radius = sqrt(u));
     the rotation is uniform on the circle.  With ``real_only`` the zeros
     are uniform on (-1, 1) and the rotation is +-1, which makes all Taylor
-    coefficients real.  All uniforms come from one ``random.Random(key)``
-    stream, so the first m products do not depend on n >= m;
-    ``sample_blocks`` keys degree d's stream ``products/{seed}/{d}``.
+    coefficients real.  All uniforms come from one stream, read in order,
+    so the first m products do not depend on n >= m; ``sample_blocks`` keys
+    degree d's stream ``products/{seed}/{d}`` (``products/real/{seed}/{d}``).
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
@@ -206,8 +230,9 @@ def sample_batch(key: str | int, degree: int, n: int, real_only: bool = False) -
 
 
 def search_points(seed: int, n: int, real_only: bool = False):
-    """The first n points (a, b) of the search's global phase at this seed."""
-    return _zeros(_stream(f"search/{seed}", 2 if real_only else 4, n), real_only)
+    """The first n points (a, b) of the search's global phase at this seed, every row decoded."""
+    key = f"search/real/{seed}" if real_only else f"search/{seed}"
+    return _zeros(_stream(key, 2 if real_only else 4, n), real_only)
 
 
 def row(batch: BlaschkeBatch, j: int) -> BlaschkeProduct:

@@ -5,11 +5,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gamma3lab import optimize
+from gamma3lab import optimize, schwarz
 from gamma3lab.cli import build_parser, main
 from gamma3lab.config import DEFAULT_ITERATIONS, DEFAULT_SEED
 
@@ -134,14 +135,23 @@ class TestVerifyCarlson:
         args = ("verify-carlson", "--samples", "2000", "--seed", "3", "--real-only")
         assert run_cli(capsys, *args) == run_cli(capsys, *args)
 
-    def test_seeds_congruent_mod_two_to_the_63_find_different_slacks(self, capsys):
-        # 5 - 2**63 would share every stream with 5 if seeds were reduced mod 2**63
-        slacks = [
-            json.loads(run_cli(capsys, "verify-carlson", "--samples", "3000", "--seed", seed,
-                               "--format", "json")[1])["worst_slacks"]
-            for seed in ("5", str(5 - 2**63))
-        ]
-        assert slacks[0] != slacks[1]
+    def test_seeds_congruent_mod_two_to_the_63_find_different_slacks(self, capsys, monkeypatch):
+        # 5 - 2**63 would share every stream with 5 if seeds were reduced mod 2**63; the
+        # worst slacks printed are rounding noise that two seeds can share, so the
+        # slacks of every product are compared
+        found, check = [], schwarz.carlson_check
+        monkeypatch.setattr(schwarz, "carlson_check", lambda c: found.append(check(c)) or found[-1])
+        slacks = []
+        for seed in ("5", str(5 - 2**63)):
+            found.clear()
+            assert run_cli(capsys, "verify-carlson", "--samples", "3000", "--seed", seed)[0] == 0
+            slacks.append(np.concatenate([np.concatenate(s) for s in found]))
+        assert len(slacks[0]) == 3 * 3000 and not np.array_equal(slacks[0], slacks[1])
+
+    def test_output_bytes_are_pinned(self, capsys):
+        code, out, err = run_cli(capsys, "verify-carlson", "--samples", "1000", "--format", "json")
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / "verify_carlson_1000.json").read_text(encoding="utf-8")
 
 
 class TestSearch:
@@ -242,6 +252,13 @@ class TestScripts:
         )
         assert (proc.returncode, proc.stdout) == (1, "")
         assert "error: argument --iterations: must be >= 1" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_run_bounds_rejects_an_unknown_option_as_a_usage_error(self):
+        script = Path(__file__).parent.parent / "scripts" / "run_bounds.py"
+        proc = subprocess.run([sys.executable, str(script), "--x"], capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert "error: unrecognized arguments: --x" in proc.stderr
         assert "Traceback" not in proc.stderr
 
 

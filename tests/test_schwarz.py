@@ -213,7 +213,7 @@ class TestSampleBatch:
         # u = 0 gives a = -1, which the guard sends to 0; a real-only product reads
         # one uniform per free zero and one for its rotation, degree in all
         n, degree = 8, 5
-        batch = _batch(_uniforms(bytes(8 * n * degree), degree), real_only=True)
+        batch = _batch(_uniforms(np.zeros((degree, n), dtype=np.uint64)), real_only=True)
         assert len(batch.rotation) == n and batch.degree == degree
         assert all((abs(a) < 1.0).all() for a in batch.zeros)
         assert all((a == 0).all() for a in batch.zeros)
@@ -276,10 +276,80 @@ class TestSampleBlocks:
             for degree in (1, 2, 3, 4):
                 chunks = [b for b in blocks if b.degree == degree]
                 count = len(range(degree - 1, 101, 4))
-                whole = sample_batch(f"products/3/{degree}", degree, count, real_only)
+                key = f"products/real/3/{degree}" if real_only else f"products/3/{degree}"
+                whole = sample_batch(key, degree, count, real_only)
                 for k, a in enumerate(whole.zeros):
                     assert (np.concatenate([c.zeros[k] for c in chunks]) == a).all()
                 assert (np.concatenate([c.rotation for c in chunks]) == whole.rotation).all()
+
+
+def _ks_distance(x: np.ndarray) -> float:
+    """Kolmogorov-Smirnov distance of the sample x from the uniform law on [0, 1)."""
+    x, n = np.sort(x), len(x)
+    i = np.arange(1, n + 1)
+    return max((i / n - x).max(), (x - (i - 1) / n).max())
+
+
+class TestCounterStream:
+    """The SplitMix64 counter stream against its scalar twin in Python ints."""
+
+    def test_words_match_the_scalar_twin_bit_for_bit(self):
+        rng = random.Random(41)
+        top = 2**64 - 1
+        origins = [0, 1, top, top - 5, 2**63] + [rng.getrandbits(64) for _ in range(20)]
+        # origin + (i + 1) gamma and each product wrap mod 2^64; i = 2^64 - 1 wraps i + 1 to 0
+        indices = list(range(50)) + [2**32, 2**63 - 1, 2**63, top - 1, top]
+        indices += [rng.getrandbits(64) for _ in range(200)]
+        for origin in origins:
+            words = schwarz._words(np.uint64(origin), np.array(indices, dtype=np.uint64))
+            assert [int(w) for w in words] == [reference.stream_word(origin, i) for i in indices]
+
+    def test_known_answers(self):
+        # origin 0 gives SplitMix64's published outputs for the seed 0
+        assert [hex(reference.stream_word(0, i)) for i in range(3)] == [
+            "0xe220a8397b1dcdaf", "0x6e789e6aa1b965f4", "0x6c45d188009454f",
+        ]
+        assert int(schwarz._origin("search/1")) == 0xCB0A6F9DA8F467CC
+        words = schwarz._words(schwarz._origin("search/1"), np.arange(4, dtype=np.uint64))
+        assert [hex(int(w)) for w in words] == [
+            "0x8151266b6b30524d", "0x3bbb4f9d85d04c64", "0xd27648f164bbffe6", "0x2029d72b2e3beb0c",
+        ]
+
+    def test_any_rows_of_any_samples_are_the_words_in_order(self):
+        # row r of sample j is word j rows + r, drawn alone or with the others
+        origin, rows, n = schwarz._origin("products/3/4"), 7, 60
+        whole = schwarz._draw(origin, rows, range(rows), np.arange(n, dtype=np.uint64))
+        assert whole.tobytes() == reference._stream("products/3/4", rows, n).tobytes()
+        columns = np.array([59, 3, 17, 17, 0], dtype=np.uint64)
+        some = schwarz._draw(origin, rows, (6, 1, 2), columns)
+        assert some.tobytes() == whole[[6, 1, 2]][:, columns.astype(int)].tobytes()
+
+    def test_real_only_draws_other_words_than_complex(self, monkeypatch):
+        # the two modes of one seed key their own streams: products/{seed}/{degree}
+        # and products/real/{seed}/{degree}
+        drawn, words = [], schwarz._words
+        monkeypatch.setattr(schwarz, "_words", lambda o, i: drawn.append(words(o, i)) or drawn[-1])
+        seen = []
+        for real_only in (False, True):
+            drawn.clear()
+            list(sample_blocks(1, 60, 6, real_only))
+            seen.append({int(w) for block in drawn for w in block.ravel()})
+        assert seen[0] and seen[1] and not seen[0] & seen[1]
+
+    def test_draws_cover_the_disk_and_the_interval(self):
+        # Kolmogorov-Smirnov distance from uniform below 1.63/sqrt(n), its 1 % point, for
+        # |a|^2 and arg a/(2 pi) of area-uniform zeros and for (a + 1)/2 of real ones
+        n = 10**5
+        columns = np.arange(n, dtype=np.uint64)
+        u = schwarz._draw(schwarz._origin("search/1"), 4, range(4), columns)
+        complex_zeros = schwarz._zeros(u, False)
+        u = schwarz._draw(schwarz._origin("search/real/1"), 2, range(2), columns)
+        real_zeros = schwarz._zeros(u, True)
+        samples = [abs(a) ** 2 for a in complex_zeros]
+        samples += [np.angle(a) / (2 * np.pi) % 1.0 for a in complex_zeros]
+        samples += [(a.real + 1.0) / 2.0 for a in real_zeros]
+        for x in samples:
+            assert _ks_distance(x) < 1.63 / math.sqrt(n)
 
 
 def _random_schur_parameters(rng, real):
