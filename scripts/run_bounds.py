@@ -1,16 +1,18 @@
 #!/usr/bin/env python3
 """Reproduce the three |gamma_3| bound derivations and print a summary table.
 
+Exits as ``gamma3lab`` does: 1 on a usage error, 2 when a certification fails.
+
 Usage: python scripts/run_bounds.py
 """
 
+import sys
+
 from gamma3lab import FAMILIES, global_bound
-from gamma3lab.cli import _ScriptParser
+from gamma3lab.cli import _Parser, run
 
 
-def main() -> None:
-    _ScriptParser(description=__doc__).parse_args()
-
+def table(args) -> int:
     header = f"{'family':<8}{'interior max':>16}{'best edge':>14}{'grid check':>14}{'|gamma3| bound':>17}"
     print(header)
     print("-" * len(header))
@@ -24,7 +26,12 @@ def main() -> None:
         )
         for note in report.notes:
             print(f"    note: {note}")
+    return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    return run(_Parser(description=__doc__), table, argv)
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

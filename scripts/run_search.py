@@ -3,22 +3,20 @@
 
 Runs both the unrestricted and the real-coefficient searches and prints
 the gap to the proved upper bound (and to the sharp real-a2 value where
-one exists).
+one exists).  Exits as ``gamma3lab`` does: 1 on a usage error, 2 when a
+search fails its verification.
 
 Usage: python scripts/run_search.py [--iterations 100000] [--seed 1]
 """
 
+import sys
+
 from gamma3lab import FAMILIES, search_lower_bound
-from gamma3lab.cli import _ranged, _ScriptParser
+from gamma3lab.cli import _Parser, _ranged, run
 from gamma3lab.config import DEFAULT_ITERATIONS, DEFAULT_SEED
 
 
-def main() -> None:
-    parser = _ScriptParser(description=__doc__)
-    parser.add_argument("--iterations", type=_ranged(int, 1), default=DEFAULT_ITERATIONS)
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    args = parser.parse_args()
-
+def searches(args) -> int:
     for tag in ("f1", "f2", "f3"):
         family = FAMILIES[tag]
         for real_only in (False, True):
@@ -33,7 +31,15 @@ def main() -> None:
             if result.remark_value is not None:
                 line += f"  sharp-real-a2 {result.remark_value:.10f}"
             print(line)
+    return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = _Parser(description=__doc__)
+    parser.add_argument("--iterations", type=_ranged(int, 1), default=DEFAULT_ITERATIONS)
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    return run(parser, searches, argv)
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

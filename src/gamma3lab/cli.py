@@ -15,7 +15,9 @@ comparison against published decimals is direct.  All randomness flows
 from ``--seed``; identical configuration gives byte-identical output.
 
 Exit status: 0 on success, 1 on usage errors, 2 when a verification
-fails.  Any other error is a bug and propagates with its traceback.
+fails, here and in the experiment scripts, which exit through :func:`run`
+too.  A usage error prints the usage line of the command at fault first.
+Any other error is a bug and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -33,32 +35,23 @@ from .series import TruncatedSeries
 from .config import DEFAULT_ITERATIONS, DEFAULT_ORDER, DEFAULT_SEED, TOL, VerificationFailed
 
 
-class _UsageError(Exception):
-    pass
-
-
-class _ParserExit(Exception):
-    """argparse ended the run itself (``--help``), with this exit status."""
-
-
 class _Parser(argparse.ArgumentParser):
-    # usage problems must exit 1, not argparse's default 2
-    def error(self, message: str):
-        raise _UsageError(message)
-
-    # --help ends in a status that main returns, like every other outcome, not in sys.exit
-    def exit(self, status: int = 0, message: str | None = None):
-        if message:
-            sys.stderr.write(message)
-        raise _ParserExit(status)
-
-
-class _ScriptParser(argparse.ArgumentParser):
-    """The parser of the experiment scripts: a usage error exits 1, as :func:`main` returns it."""
-
+    # usage problems must exit 1, not argparse's default 2, after the usage line of the command
     def error(self, message: str):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def run(parser: argparse.ArgumentParser, command, argv: list[str] | None = None) -> int:
+    """Parse ``argv`` and return ``command(args)``'s exit status; argparse's ``SystemExit``
+    returns its own (0 on ``--help``, 1 on a usage error), a failed verification 2."""
+    try:
+        return command(parser.parse_args(argv))
+    except SystemExit as exc:
+        return exc.code
+    except VerificationFailed as exc:
+        sys.stderr.write(f"verification failed: {exc}\n")
+        return 2
 
 
 #: Products of ``verify-carlson`` cycle through the degrees 1..CARLSON_MAX_DEGREE.
@@ -150,7 +143,7 @@ def _cmd_gamma(args: argparse.Namespace) -> int:
     # near 1e308 the body's arithmetic overflows; below 2 the body's slack decides
     bounded = all(abs(c.real) <= 2.0 and abs(c.imag) <= 2.0 for c in (args.c1, args.c2, args.c3))
     if not (bounded and schwarz.in_body(triple)):
-        raise _UsageError("--c1, --c2 and --c3 must be a finite Schwarz triple "
+        args.parser.error("--c1, --c2 and --c3 must be a finite Schwarz triple "
                           "(Schur parameters |a|, |b|, |eta| <= 1)")
     closed = fam.gamma3_closed_form(args.family, triple)
     # gamma_3 reads f up to z^(3 + 1), which reads w up to z^3
@@ -187,7 +180,8 @@ def _cmd_verify_carlson(args: argparse.Namespace) -> int:
     for batch in schwarz.sample_blocks(args.seed, args.samples, CARLSON_MAX_DEGREE, args.real_only):
         degrees.add(batch.degree)
         slacks = schwarz.carlson_check(schwarz.triple_of_blaschke(batch))
-        worst = [min(w, float(s.min(initial=math.inf))) for w, s in zip(worst, slacks)]
+        # numpy's min keeps a nan, which then fails the check; Python's min(w, nan) is w
+        worst = [float(s.min(initial=w)) for w, s in zip(worst, slacks)]
     ok = all(s >= -TOL.carlson_slack for s in worst)
     if args.format == "json":
         _emit_json(
@@ -257,15 +251,15 @@ def build_parser() -> _Parser:
 
     Building it takes milliseconds, a sizeable share of an in-process
     ``bound``, so every :func:`main` call reuses it.  It must not be
-    mutated: parsing leaves it as it is, and :class:`_Parser` raises on a
-    usage error instead of exiting.
+    mutated, and parsing leaves it as it is.  Each command's parser is its
+    namespace's ``parser``, which reports that command's usage errors.
     """
     parser = _Parser(prog="gamma3lab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_command(name, summary, handler, family=True, csv=False):
         p = sub.add_parser(name, help=summary)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, parser=p)
         if family:
             p.add_argument("family", choices=["f1", "f2", "f3"])
         formats = ["text", "json", "csv"] if csv else ["text", "json"]
@@ -299,22 +293,14 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _dispatch(args: argparse.Namespace) -> int:
+    if "family" in args:
+        args.family = fam.family_by_tag(args.family)
+    return args.handler(args)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-        if "family" in args:
-            args.family = fam.family_by_tag(args.family)
-        return args.handler(args)
-    except _ParserExit as exc:
-        return exc.args[0]
-    except _UsageError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        parser.print_usage(sys.stderr)
-        return 1
-    except VerificationFailed as exc:
-        sys.stderr.write(f"verification failed: {exc}\n")
-        return 2
+    return run(build_parser(), _dispatch, argv)
 
 
 if __name__ == "__main__":

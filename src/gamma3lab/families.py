@@ -97,7 +97,7 @@ def member_series(family: Family, w: TruncatedSeries, order: int) -> TruncatedSe
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    if abs(w.coeffs[0]) > TOL.normalized:
+    if not abs(w.coeffs[0]) <= TOL.normalized:
         raise ValueError("w must fix the origin: w(0) = 0")
     if w.order < order - 1:
         raise ValueError(

@@ -70,7 +70,8 @@ class BoundReport:
     grid_max: float
 
     def __post_init__(self) -> None:
-        if self.grid_max > self.global_max + TOL.certification:
+        # each check passes only when its condition holds, so a nan fails it
+        if not self.grid_max <= self.global_max + TOL.certification:
             raise CertificationMismatch(
                 f"dense grid reached {self.grid_max!r} > analytic maximum "
                 f"{self.global_max!r}; a formula was likely transcribed wrong"
@@ -81,7 +82,7 @@ class BoundReport:
         points = np.array([_edge_point(e, t) for e, t, _ in self.edge_maxima])
         values = value_xy(self.family, *points.reshape(-1, 2).T)
         for (edge, t, v), value in zip(self.edge_maxima, values):
-            if abs(value - v) > TOL.certification:
+            if not abs(value - v) <= TOL.certification:
                 raise CertificationMismatch(
                     f"{edge} edge maximum {v!r} at {t!r} differs from the objective's "
                     f"value {float(value)!r} there; its restriction was likely "

@@ -93,10 +93,11 @@ class BlaschkeProduct:
     def __post_init__(self) -> None:
         object.__setattr__(self, "zeros", tuple(complex(a) for a in self.zeros))
         object.__setattr__(self, "rotation", complex(self.rotation))
+        # each check passes only when its condition holds, so a nan fails it
         for a in self.zeros:
-            if abs(a) >= 1.0:
+            if not abs(a) < 1.0:
                 raise ZeroOutsideDisk(f"zero {a!r} is not inside the unit disk")
-        if abs(abs(self.rotation) - 1.0) > TOL.rotation_unimodular:
+        if not abs(abs(self.rotation) - 1.0) <= TOL.rotation_unimodular:
             raise ValueError(f"rotation {self.rotation!r} is not unimodular")
 
     @property
@@ -119,9 +120,9 @@ class BlaschkeBatch:
         for a in self.zeros:
             if a.shape != self.rotation.shape:
                 raise ValueError("every zero array must match the rotation array")
-            if (abs(a) >= 1.0).any():
+            if not (abs(a) < 1.0).all():
                 raise ZeroOutsideDisk("a zero of the batch is not inside the unit disk")
-        if (abs(abs(self.rotation) - 1.0) > TOL.rotation_unimodular).any():
+        if not (abs(abs(self.rotation) - 1.0) <= TOL.rotation_unimodular).all():
             raise ValueError("a rotation of the batch is not unimodular")
 
     @property

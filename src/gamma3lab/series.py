@@ -102,7 +102,7 @@ def log_over_z(f: TruncatedSeries) -> TruncatedSeries:
     x = f.coeffs
     if len(x) < 2:
         raise NotNormalized("need at least the z coefficient")
-    if abs(x[0]) > TOL.normalized or abs(x[1] - 1.0) > TOL.normalized:
+    if not (abs(x[0]) <= TOL.normalized and abs(x[1] - 1.0) <= TOL.normalized):
         raise NotNormalized(f"series is not normalized: f(0)={x[0]!r}, f'(0)={x[1]!r}")
     u = x[1:]  # coefficients of f/z; u[0] == 1 up to tolerance
     n_max = len(u) - 1

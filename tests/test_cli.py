@@ -153,6 +153,21 @@ class TestVerifyCarlson:
         assert (code, err) == (0, "")
         assert out == (GOLDEN / "verify_carlson_1000.json").read_text(encoding="utf-8")
 
+    @pytest.mark.parametrize("where", ["every slack", "one slack"])
+    def test_a_nan_slack_fails(self, capsys, monkeypatch, where):
+        check = schwarz.carlson_check
+
+        def nan_check(triple):
+            slacks = [s.copy() for s in check(triple)]
+            for s in slacks if where == "every slack" else slacks[1:2]:
+                s[-1] = np.nan
+            return tuple(slacks)
+
+        monkeypatch.setattr(schwarz, "carlson_check", nan_check)
+        code, out, _ = run_cli(capsys, "verify-carlson", "--samples", "500")
+        assert code == 2
+        assert out.startswith("fail") and "nan" in out
+
 
 class TestSearch:
     def test_small_search_json(self, capsys):
@@ -244,6 +259,17 @@ class TestModuleEntryPoint:
         assert proc.stdout == (GOLDEN / "bound_f3.txt").read_text(encoding="utf-8") + "False\n"
 
 
+SCRIPTS = Path(__file__).parent.parent / "scripts"
+
+
+def run_script(name, *args, patch=""):
+    """Run one experiment script as ``python scripts/<name> args``, after ``patch``."""
+    script = str(SCRIPTS / name)
+    code = f"{patch}\nimport runpy, sys\nsys.argv = [{script!r}, *{args!r}]\n" \
+           f"runpy.run_path({script!r}, run_name='__main__')"
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+
+
 class TestScripts:
     def test_run_search_rejects_a_zero_budget_as_a_usage_error(self):
         script = Path(__file__).parent.parent / "scripts" / "run_search.py"
@@ -260,6 +286,32 @@ class TestScripts:
         assert (proc.returncode, proc.stdout) == (1, "")
         assert "error: unrecognized arguments: --x" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("name", ["run_bounds.py", "run_search.py"])
+    def test_help_exits_zero(self, name):
+        proc = run_script(name, "--help")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.startswith(f"usage: {name}")
+
+    @pytest.mark.parametrize(
+        "name, args, patch",
+        [
+            # without its interior maximum F1 fails certification
+            ("run_bounds.py", (),
+             "from gamma3lab import optimize\noptimize.interior_critical_points = lambda family: []"),
+            # below a negative tolerance no witness agrees with its Schur value
+            ("run_search.py", ("--iterations", "300"),
+             "import dataclasses\nfrom gamma3lab import search\n"
+             "search.TOL = dataclasses.replace(search.TOL, bound_compliance=-1.0)"),
+        ],
+        ids=["CertificationMismatch", "WitnessMismatch"],
+    )
+    def test_a_failed_verification_exits_two(self, name, args, patch):
+        proc = run_script(name, *args, patch=patch)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("verification failed: ")
+        assert "Traceback" not in proc.stderr
+        assert run_script(name, *args).returncode == 0
 
 
 class TestSharedParser:
@@ -324,6 +376,22 @@ class TestParserDeclarations:
 
 
 class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("search", "f1", "--iterations", "0"), "argument --iterations: must be >= 1"),
+            (("bound", "f1", "--grid-step", "0.2"), "argument --grid-step: must lie in [0.001, 0.1]"),
+            (("gamma", "f1", "--c1", "0.9", "--c2", "0.5"),
+             "--c1, --c2 and --c3 must be a finite Schwarz triple"),
+        ],
+        ids=["search", "bound", "gamma"],
+    )
+    def test_the_usage_line_of_the_command_comes_first(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"usage: gamma3lab {argv[0]} ")
+        assert f"\ngamma3lab {argv[0]}: error: {message}" in err
+
     def test_unknown_family_exits_one(self, capsys):
         code, _, err = run_cli(capsys, "bound", "f9")
         assert code == 1

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -120,6 +121,11 @@ class TestMemberSeries:
     def test_second_family_trivial(self):
         f = member_series(F2, TruncatedSeries.from_polynomial((0.0,), 8), 4)
         assert_series_close(f, TruncatedSeries((0, 1, 0, 1 / 3, 0)))
+
+    def test_rejects_a_w_whose_origin_is_nan(self):
+        w = TruncatedSeries((complex(math.nan, 0.0), 0.5, 0.0, 0.0))
+        with pytest.raises(ValueError, match="w must fix the origin"):
+            member_series(F1, w, 4)
 
     def test_normalization_by_construction(self):
         for family in ALL_FAMILIES:

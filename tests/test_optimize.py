@@ -205,6 +205,19 @@ class TestBoundReportInvariants:
             kwargs["edge_maxima"] = edges[:i] + ((e, t, v + 1e-11),) + edges[i + 1:]
             BoundReport(**kwargs)
 
+    def test_nan_fails_the_grid_check(self):
+        kwargs = self._valid_kwargs()
+        kwargs["grid_max"] = math.nan
+        with pytest.raises(CertificationMismatch, match="dense grid"):
+            BoundReport(**kwargs)
+
+    def test_nan_fails_the_edge_check(self):
+        kwargs = self._valid_kwargs()
+        (e, t, _), *rest = kwargs["edge_maxima"]
+        kwargs["edge_maxima"] = ((e, t, math.nan), *rest)
+        with pytest.raises(CertificationMismatch, match=f"{e} edge"):
+            BoundReport(**kwargs)
+
     def test_certification_catches_the_published_top_edge(self, monkeypatch):
         # the published cubic of F3's top edge stays below the interior
         # maximum, so only the edge's own value can expose it

@@ -147,6 +147,19 @@ class TestBlaschkeProduct:
         with pytest.raises(ValueError):
             BlaschkeProduct((), 0.5)
 
+    def test_nan_fails_both_checks(self):
+        with pytest.raises(ZeroOutsideDisk):
+            BlaschkeProduct((math.nan,), 1.0)
+        with pytest.raises(ValueError, match="unimodular"):
+            BlaschkeProduct((), complex(math.nan, 0.0))
+
+    def test_nan_fails_both_checks_of_a_batch(self):
+        one = np.ones(2, dtype=complex)
+        with pytest.raises(ZeroOutsideDisk):
+            schwarz.BlaschkeBatch((np.array([0.5, math.nan]),), one)
+        with pytest.raises(ValueError, match="unimodular"):
+            schwarz.BlaschkeBatch((), np.array([1.0, complex(0.0, math.nan)]))
+
     def test_degree_counts_pinned_zero(self):
         assert BlaschkeProduct((), 1.0).degree == 1
         assert BlaschkeProduct((0.1, 0.2), 1.0).degree == 3

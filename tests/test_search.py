@@ -12,6 +12,7 @@ from gamma3lab import (
     F3,
     SchwarzTriple,
     SearchResult,
+    TruncatedSeries,
     VerificationFailed,
     WitnessMismatch,
     gamma3_closed_form,
@@ -147,6 +148,43 @@ class TestSearchLowerBound:
             SearchResult(best_value=r.upper_bound + 1e-6, real_only=False, **fields)
         with pytest.raises(VerificationFailed):
             SearchResult(best_value=REMARK_VALUES["F1"] + 1e-5, real_only=True, **fields)
+
+    def test_nan_fails_both_bound_checks(self, monkeypatch):
+        r = search_lower_bound(F1, iterations=50, seed=1, real_only=True)
+        fields = dict(family=F1, witness=r.witness, iterations=50, upper_bound=r.upper_bound)
+        with pytest.raises(VerificationFailed, match="proved bound"):
+            SearchResult(best_value=math.nan, real_only=False, **fields)
+        # a nan value fails the first check, so the second is reached with a nan sharp value
+        monkeypatch.setitem(REMARK_VALUES, "F1", math.nan)
+        with pytest.raises(VerificationFailed, match="sharp real-a2"):
+            SearchResult(best_value=r.best_value, real_only=True, **fields)
+
+    def test_a_nan_series_value_fails_the_witness_check(self, monkeypatch):
+        def nan_taylor(witness, order):
+            return TruncatedSeries((0j,) + (complex(math.nan, 0.0),) * order)
+
+        monkeypatch.setattr(search, "taylor_of_blaschke", nan_taylor)
+        with pytest.raises(WitnessMismatch):
+            search_lower_bound(F1, iterations=100, seed=1)
+
+    @pytest.mark.parametrize("real_only, moves", [(False, 8), (True, 4)], ids=["complex", "real-only"])
+    def test_refinement_spends_at_most_its_rounds(self, monkeypatch, real_only, moves):
+        # each round tries one move per direction of a and of b, so the rounds cap the
+        # refinement at 10 x 40 x moves evaluations, far below 30% of the default budget;
+        # its own share caps it only in small searches, which spend all of it
+        spent, lockstep = [], search._refine
+
+        def spy(*args):
+            out = lockstep(*args)
+            spent.append(int(out[3].sum()))
+            return out
+
+        monkeypatch.setattr(search, "_refine", spy)
+        for iterations in (100_000, 2000, 45):
+            search_lower_bound(F1, iterations, seed=1, real_only=real_only)
+        ceiling = search._TOP_CANDIDATES * search._REFINE_ROUNDS * moves
+        assert spent[0] <= ceiling < 0.3 * 100_000
+        assert spent[1:] == [600, 14]
 
     def test_bound_is_certified_once_per_family(self, monkeypatch):
         calls = []

@@ -133,6 +133,11 @@ class TestLogOverZ:
         with pytest.raises(NotNormalized):
             log_over_z(TruncatedSeries((0.0,)))
 
+    @pytest.mark.parametrize("coeffs", [(math.nan, 1, 0), (0, complex(1, math.nan), 0)])
+    def test_rejects_nan_in_the_normalization(self, coeffs):
+        with pytest.raises(NotNormalized):
+            log_over_z(TruncatedSeries(coeffs))
+
     @given(normalized_series(order=7, radius=0.8))
     @settings(max_examples=200)
     def test_exp_log_round_trip(self, f):
