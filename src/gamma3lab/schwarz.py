@@ -179,9 +179,16 @@ def schur_triple(a: complex, b: complex, eta: complex) -> SchwarzTriple:
     c1 = a, c2 = (1 - |a|^2) b, c3 = (1 - |a|^2)((1 - |b|^2) eta - conj(a) b^2).
     Like :func:`triple_of_blaschke`, it runs on scalars and on arrays.
     """
-    ka = 1.0 - (a * a.conjugate()).real
+    return SchwarzTriple(*_schur(a, b, eta)[2])
+
+
+def _schur(a, b, eta):
+    """1 - |a|^2, 1 - |b|^2 and the coefficients (c1, c2, c3) of :func:`schur_triple`,
+    not coerced to complex: complex a, b give complex coefficients."""
+    ac = a.conjugate()
+    ka = 1.0 - (a * ac).real
     kb = 1.0 - (b * b.conjugate()).real
-    return SchwarzTriple(a, ka * b, ka * (kb * eta - a.conjugate() * b * b))
+    return ka, kb, (a, ka * b, ka * (kb * eta - ac * b * b))
 
 
 def in_body(c: SchwarzTriple) -> bool:

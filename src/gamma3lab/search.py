@@ -24,17 +24,21 @@ c2 = (1 - |a|^2) b, the objective of :mod:`gamma3lab.objective` at
 (|a|, (1 - |a|^2)|b|) bounds the value at the best eta from above and
 needs only the radii, so a block draws the radius rows of every point,
 and a point is evaluated, its angle rows drawn, only if that majorant
-reaches the tenth-best value kept so far; while fewer than ten are kept,
-a block seeds that floor with the exact values at its ten largest
-majorants.  Most points never draw their angles; a point's uniforms are
-the same whether or not the others are drawn, so skipping them changes
-no result.  One running top ten takes in each block's evaluated points,
-and no point of the overall top ten is skipped, so the ten best are
-those of evaluating every point.  They are refined in lockstep by moving
-a or b by +-step (and +-i step unless real-only), keeping each one's
-best move of a round and halving its step after a round without
-progress; the refinement budget is split evenly, and its remainder goes
-to the first candidates in top order.  The best point becomes one
+reaches the tenth-best value kept so far.  While fewer than ten are
+kept, a block first evaluates its largest majorants in chunks, of ten
+and then four times as many as the chunk before, each among the points
+not yet evaluated that still reach the floor the chunks so far give, and
+stops once no more points reach it than the next chunk would hold; the
+rest of those points are evaluated together.  Most points never draw
+their angles; a point's uniforms are the same whether or not the others
+are drawn, so skipping them changes no result.  One running top ten,
+ordered by (-value, sample index), takes in every evaluated chunk, and
+no point of the overall top ten is skipped, so the ten best are those
+of evaluating every point.  They are refined in lockstep by moving a or
+b by +-step (and +-i step unless real-only), keeping each one's best
+move of a round and halving its step after a round without progress;
+the refinement budget is split evenly, and its remainder goes to the
+first candidates in top order.  The best point becomes one
 witness (:func:`gamma3lab.schwarz.schur_witness`), a degree-3 product
 whose zeros are real or a conjugate pair in real-only searches.  Its
 series value must match the Schur value, and is reported.  The proved
@@ -53,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_ITERATIONS, DEFAULT_SEED, TOL, VerificationFailed
-from .families import Family, gamma3_closed_form
+from .families import Family, _closed_form, gamma3_closed_form
 from .objective import value_xy
 from .optimize import global_bound
 from .schwarz import (
@@ -63,6 +67,7 @@ from .schwarz import (
     _draw,
     _origin,
     _radii,
+    _schur,
     _zeros,
     schur_triple,
     schur_witness,
@@ -86,6 +91,8 @@ _TOP_CANDIDATES = 10
 _REFINE_ROUNDS = 40
 _GLOBAL_FRACTION = 0.7
 _INITIAL_STEP = 0.1
+#: Growth factor of the chunks of best majorants that seed the first floor.
+_SEED_GROWTH = 4
 
 
 @dataclass(frozen=True)
@@ -139,10 +146,9 @@ def _proved_bound(family: Family) -> float:
 
 
 def _schur_value(family: Family, a, b):
-    """|gamma_3| at the best eta for Schur parameters a, b (scalars or arrays)."""
-    p = gamma3_closed_form(family, schur_triple(a, b, 0.0))
-    ka, kb = 1.0 - (a * a.conjugate()).real, 1.0 - (b * b.conjugate()).real
-    return abs(p) + family.gamma3_weights[3] * ka * kb / family.scale
+    """|gamma_3| at the best eta for complex Schur parameters a, b (scalars or arrays)."""
+    ka, kb, c = _schur(a, b, 0.0)
+    return abs(_closed_form(family, *c)) + family.gamma3_weights[3] * ka * kb / family.scale
 
 
 def _majorant(family: Family, radii: np.ndarray, real_only: bool) -> np.ndarray:
@@ -173,12 +179,23 @@ def _floor(values: np.ndarray) -> float:
     return np.partition(values, k)[k] if k >= 0 else -np.inf
 
 
-def _top_candidates(values: np.ndarray) -> np.ndarray:
-    """Indices of the largest values, ordered by (-value, index)."""
+def _top_candidates(values: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Positions of the largest values, ordered by (-value, index)."""
     k = min(_TOP_CANDIDATES, len(values))
     cut = np.partition(values, len(values) - k)[len(values) - k]
     tied_or_above = np.flatnonzero(values >= cut)
-    return tied_or_above[np.argsort(-values[tied_or_above], kind="stable")][:k]
+    return tied_or_above[np.lexsort((index[tied_or_above], -values[tied_or_above]))][:k]
+
+
+def _take(kept: tuple, family: Family, origin: np.uint64, columns: np.ndarray,
+          radii: np.ndarray, real_only: bool) -> tuple:
+    """The top ten, by (-value, index), of ``kept`` (values, indices, a, b) and of the
+    samples ``columns``, whose radius rows are ``radii``."""
+    a, b = _points(origin, columns, radii, real_only)
+    new = (_schur_value(family, a, b), columns, a, b)
+    merged = [np.concatenate(pair) for pair in zip(kept, new)]
+    top = _top_candidates(merged[0], merged[1])
+    return tuple(x[top] for x in merged)
 
 
 def _refine(family: Family, a, b, values, caps: np.ndarray, real_only: bool):
@@ -186,31 +203,36 @@ def _refine(family: Family, a, b, values, caps: np.ndarray, real_only: bool):
 
     ``caps[i]`` caps the evaluations of row i.  A row skips moves that leave
     the bidisk, evaluates no more than is left of its cap and takes its
-    first best move.  Returns (a, b, value, used).
+    first best move.  Each round writes every row's moves into one array
+    allocated once, evaluates them all in one pass and discards, as -inf,
+    the values of the moves a row skips.  Returns (a, b, value, used).
     """
     directions = np.array([1, -1] if real_only else [1, -1, 1j, -1j])
-    m = len(directions)
-    step = np.full(len(a), _INITIAL_STEP)
-    used = np.zeros(len(a), dtype=int)
+    n, m = len(a), len(directions)
+    step = np.full(n, _INITIAL_STEP)
+    used = np.zeros(n, dtype=int)
+    rows = np.arange(n)
+    ab = np.stack([a, b])
+    moves = np.empty((2, n, 2 * m), complex)  # the a, then the b, of each row's moves
     for _ in range(_REFINE_ROUNDS):
-        live = (used < caps) & (step >= 1e-12)
-        if not live.any():
+        left = np.where(step >= 1e-12, caps - used, 0)  # what each row may still evaluate
+        if not left.any():
             break
         shift = step[:, None] * directions
-        ma = np.concatenate([a[:, None] + shift, np.repeat(a[:, None], m, 1)], axis=1)
-        mb = np.concatenate([np.repeat(b[:, None], m, 1), b[:, None] + shift], axis=1)
-        valid = np.maximum(abs(ma), abs(mb)) < 1.0 - 1e-9
-        tried = valid & live[:, None] & (valid.cumsum(axis=1) <= (caps - used)[:, None])
-        v = np.full(ma.shape, -np.inf)
-        v[tried] = _schur_value(family, ma[tried], mb[tried])
+        moves[:] = ab[:, :, None]
+        moves[0, :, :m] += shift
+        moves[1, :, m:] += shift
+        valid = np.maximum(*abs(moves)) < 1.0 - 1e-9
+        tried = valid & (valid.cumsum(axis=1) <= left[:, None])
+        v = np.where(tried, _schur_value(family, *moves), -np.inf)
         used += tried.sum(axis=1)
-        rows, best = np.arange(len(a)), v.argmax(axis=1)
-        better = v[rows, best] > values
-        a = np.where(better, ma[rows, best], a)
-        b = np.where(better, mb[rows, best], b)
-        values = np.where(better, v[rows, best], values)
+        best = v.argmax(axis=1)
+        v = v[rows, best]
+        better = v > values
+        ab = np.where(better, moves[:, rows, best], ab)
+        values = np.where(better, v, values)
         step = np.where(better, step, 0.5 * step)
-    return a, b, values, used
+    return ab[0], ab[1], values, used
 
 
 def search_lower_bound(
@@ -233,25 +255,26 @@ def search_lower_bound(
         raise ValueError("iterations must be >= 1")
     upper_bound = _proved_bound(family)
     n_global = max(1, round(_GLOBAL_FRACTION * iterations))
-    # values, a, b are the top ten so far by (-value, index); a block's rows whose majorant
-    # reaches their tenth-best value come after them in index order, so position is index
-    values = a = b = np.empty(0)
+    # the top ten so far by (-value, index): their values, sample indices and points (a, b)
+    kept = (np.empty(0), np.empty(0, dtype=np.uint64), np.empty(0, complex), np.empty(0, complex))
     origin = _origin(f"search/real/{seed}" if real_only else f"search/{seed}")
     rows, radius_rows = (2, (0, 1)) if real_only else (4, (0, 2))
     for columns in _columns(n_global):
         radii = _draw(origin, rows, radius_rows, columns)
         bound = _majorant(family, radii, real_only)
-        floor = _floor(values)
-        if floor == -np.inf:  # the exact values at the block's largest majorants give one
-            top = _top_candidates(bound)
-            first = _schur_value(family, *_points(origin, columns[top], radii[:, top], real_only))
-            floor = _floor(np.concatenate([values, first]))
-        keep = bound >= floor
-        block_a, block_b = _points(origin, columns[keep], radii[:, keep], real_only)
-        values = np.concatenate([values, _schur_value(family, block_a, block_b)])
-        a, b = np.concatenate([a, block_a]), np.concatenate([b, block_b])
-        top = _top_candidates(values)
-        values, a, b = values[top], a[top], b[top]
+        left = bound >= _floor(kept[0])  # not evaluated yet, and may reach the top ten
+        chunk = _TOP_CANDIDATES if len(kept[0]) < _TOP_CANDIDATES else len(bound)
+        # in a block that starts with fewer than ten kept, the best majorants left, in chunks
+        # growing from ten, raise the floor until no more points reach it than the next chunk holds
+        while np.count_nonzero(left) > chunk:
+            which = np.flatnonzero(left)
+            which = which[np.argpartition(bound[which], -chunk)[-chunk:]]
+            kept = _take(kept, family, origin, columns[which], radii[:, which], real_only)
+            left[which] = False
+            left &= bound >= _floor(kept[0])
+            chunk *= _SEED_GROWTH
+        kept = _take(kept, family, origin, columns[left], radii[:, left], real_only)
+    values, _, a, b = kept
 
     budget, k = iterations - n_global, len(values)
     caps = budget // k + (np.arange(k) < budget % k)

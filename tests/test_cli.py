@@ -203,6 +203,17 @@ class TestSearch:
         assert (code, err) == (0, "")
         assert out == (GOLDEN / f"search_f1_2000.{suffix}").read_text(encoding="utf-8")
 
+    @pytest.mark.parametrize(
+        "golden, args",
+        [("search_f1_default.json", ("f1",)), ("search_f3_real_default.json", ("f3", "--real-only"))],
+    )
+    def test_default_budget_bytes_are_pinned(self, capsys, golden, args):
+        # the default budget is the one whose first block seeds its floor in chunks and whose
+        # refinement runs all of its rounds
+        code, out, err = run_cli(capsys, "search", *args, "--format", "json")
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
     @pytest.mark.parametrize("real_only", [(), ("--real-only",)], ids=["complex", "real-only"])
     def test_text_witness_carries_the_json_digits(self, capsys, real_only):
         # every part of the witness prints to 12 significant digits, rotation included

@@ -127,17 +127,21 @@ class TestSearchLowerBound:
 
     def test_top_candidates_order_by_value_then_index(self):
         values = np.array([0.5, 0.9, 0.1, 0.9, 0.7] + [0.0] * 20 + [0.9])
-        assert search._top_candidates(values).tolist() == [1, 3, 25, 4, 0, 2, 5, 6, 7, 8]
-        assert search._top_candidates(values[:3]).tolist() == [1, 0, 2]
+        index = np.arange(len(values), dtype=np.uint64)
+        assert search._top_candidates(values, index).tolist() == [1, 3, 25, 4, 0, 2, 5, 6, 7, 8]
+        assert search._top_candidates(values[:3], index[:3]).tolist() == [1, 0, 2]
+        # ties go by the sample index, not by the position
+        assert search._top_candidates(values, index[::-1]).tolist() == [25, 3, 1, 4, 0, 2, 24, 23, 22, 21]
 
     def test_replay_catches_a_wrong_sampled_value(self, monkeypatch):
-        exact = search.schur_triple
+        # the sampled values go through the Schur coefficients that schur_triple shares
+        exact = search._schur
 
         def skewed(a, b, eta):
-            t = exact(a, b, eta)
-            return SchwarzTriple(t.c1, t.c2, t.c3 + 1e-6)
+            ka, kb, (c1, c2, c3) = exact(a, b, eta)
+            return ka, kb, (c1, c2, c3 + 1e-6)
 
-        monkeypatch.setattr(search, "schur_triple", skewed)
+        monkeypatch.setattr(search, "_schur", skewed)
         with pytest.raises(WitnessMismatch):
             search_lower_bound(F1, iterations=100, seed=1)
 
@@ -305,7 +309,7 @@ class TestSearchLowerBound:
                         drawn = row_bytes(a, b)
                         assert calls and all(row_bytes(*c) <= drawn for c in calls)
                         values = exact(family, a, b)
-                        best = search._top_candidates(values)
+                        best = search._top_candidates(values, np.arange(len(values)))
                         assert top["values"].tobytes() == values[best].tobytes()
                         assert top["a"].tobytes() == a[best].tobytes()
                         assert top["b"].tobytes() == b[best].tobytes()
@@ -413,6 +417,67 @@ class TestSearchLowerBound:
         r = search_lower_bound(F2, iterations=1)
         assert r.witness.rotation == 1
         assert r.best_value == pytest.approx(0.1875, abs=1e-15)
+
+    @pytest.mark.parametrize("block_rows", [schwarz.BLOCK_ROWS, 7])
+    def test_global_phase_keeps_the_brute_force_top_ten(self, monkeypatch, block_rows):
+        # the top ten that the refinement starts from are, bit for bit, the top ten by
+        # (-value, index) of evaluating every point; fewer than ten points, a first block of
+        # fewer than ten and counts just past a block all end the floor's chunked seeding
+        top, lockstep = {}, search._refine
+
+        def record_top(family, a, b, values, budget, real_only):
+            top.update(a=a, b=b, values=values)
+            return lockstep(family, a, b, values, budget, real_only)
+
+        monkeypatch.setattr(search, "_refine", record_top)
+        monkeypatch.setattr(schwarz, "BLOCK_ROWS", block_rows)
+        for n_global in (1, 9, 10, 11, 2000, block_rows + 1):
+            iterations = next(i for i in range(1, 2 * n_global + 2) if round(0.7 * i) == n_global)
+            for real_only in (False, True):
+                for seed in (1, 2, 3):
+                    a, b = search_points(seed, n_global, real_only)
+                    for family in (F1, F2, F3):
+                        top.clear()
+                        search_lower_bound(family, iterations, seed, real_only)
+                        values = _schur_value(family, a, b)
+                        best = np.lexsort((np.arange(n_global), -values))[:10]
+                        assert top["values"].tobytes() == values[best].tobytes()
+                        assert top["a"].tobytes() == a[best].tobytes()
+                        assert top["b"].tobytes() == b[best].tobytes()
+
+    def test_pruning_decodes_at_most_two_thirds_of_the_points(self, monkeypatch):
+        # over the six searches of seed 1 at the default budget, a first floor from ten seed
+        # points decoded 60 106 points; the chunked seeding must keep well below that
+        decoded, lazy = [], search._points
+
+        def count(origin, columns, radii, real_only):
+            decoded.append(len(columns))
+            return lazy(origin, columns, radii, real_only)
+
+        monkeypatch.setattr(search, "_points", count)
+        for family in (F1, F2, F3):
+            for real_only in (False, True):
+                search_lower_bound(family, 10**5, 1, real_only)
+        assert sum(decoded) <= 2 * 60_106 / 3
+
+    def test_schur_value_is_the_closed_form_at_eta_zero_plus_the_eta_term(self):
+        # bit for bit, also where |a| or |b| >= 1, which the refinement evaluates before it
+        # discards the value
+        def expected(family, a, b):
+            ka, kb = 1.0 - (a * a.conjugate()).real, 1.0 - (b * b.conjugate()).real
+            p = gamma3_closed_form(family, schur_triple(a, b, 0))
+            return abs(p) + family.gamma3_weights[3] * ka * kb / family.scale
+
+        scalars = [(0.3 + 0.2j, -0.5j), (0j, 0j), (1 + 0j, 0.5 + 0j), (0.6 + 0.8j, 0.1 - 0.2j),
+                   (1.05 + 0j, 0.2j), (0.1 + 0j, 1.2 + 0j), (1.1j, -1.3 + 0j), (-0.4 + 0j, 1j)]
+        for family in (F1, F2, F3):
+            for a, b in scalars:
+                assert _schur_value(family, a, b).hex() == expected(family, a, b).hex()
+            for real_only in (False, True):
+                a, b = sample_batch(5, 3, 1000, real_only).zeros
+                a, b = np.concatenate([a, 1.08 * a]), np.concatenate([b, 1.08 * b[::-1]])
+                assert (abs(a) >= 1).any() and (abs(b) >= 1).any()
+                assert _schur_value(family, a, b).tobytes() == expected(family, a, b).tobytes()
 
     def test_chunked_draw_gives_the_unchunked_results(self, monkeypatch):
         # budgets 1 and 2 draw one global sample and 14 draws ten, so none is left out of the top ten
