@@ -29,8 +29,7 @@ class Tolerances:
     tie_break: float = 1e-12           # values within this count as equal
     certification: float = 1e-9        # dense grid may not exceed max by this
     # search and the gamma command
-    bound_compliance: float = 1e-9     # |gamma3| over a bound; closed form vs series route
-    remark_compliance: float = 1e-6    # slack against the sharp real-a2 values
+    bound_compliance: float = 1e-9     # |gamma3| over a bound or sharp value; closed form vs series
 
 
 TOL = Tolerances()

@@ -80,12 +80,9 @@ def gamma3_closed_form(family: Family, c: SchwarzTriple) -> complex:
 
     Agrees to rounding error, for arbitrary inputs, with the series-log
     route gamma_sequence(member_series(family, c1 z + c2 z^2 + c3 z^3)).
+    On a triple of arrays it gives an array.
     """
-    return _closed_form(family, c.c1, c.c2, c.c3)
-
-
-def _closed_form(family: Family, c1, c2, c3):
-    """:func:`gamma3_closed_form` of the coefficients c1, c2, c3, scalars or arrays."""
+    c1, c2, c3 = c.c1, c.c2, c.c3
     w0, w1, w2, w3, w12, w111 = family.gamma3_weights
     return (w0 + w1 * c1 + w2 * c2 + w3 * c3 + w12 * c1 * c2 + w111 * c1 ** 3) / family.scale
 

@@ -64,19 +64,14 @@ class ZeroOutsideDisk(ValueError):
 class SchwarzTriple:
     """First three Taylor coefficients of a Schwarz function.
 
-    The fields are complex numbers, or equal-shaped complex arrays holding
-    the coefficients of a batch of functions.
+    The fields are numbers, or equal-shaped arrays holding the coefficients
+    of a batch of functions, held as given: complex data stays complex, and
+    real data real.
     """
 
     c1: complex
     c2: complex
     c3: complex
-
-    def __post_init__(self) -> None:
-        # adding 0j makes complex numbers of ints and floats, scalar or array
-        object.__setattr__(self, "c1", self.c1 + 0j)
-        object.__setattr__(self, "c2", self.c2 + 0j)
-        object.__setattr__(self, "c3", self.c3 + 0j)
 
 
 @dataclass(frozen=True)
@@ -183,8 +178,7 @@ def schur_triple(a: complex, b: complex, eta: complex) -> SchwarzTriple:
 
 
 def _schur(a, b, eta):
-    """1 - |a|^2, 1 - |b|^2 and the coefficients (c1, c2, c3) of :func:`schur_triple`,
-    not coerced to complex: complex a, b give complex coefficients."""
+    """1 - |a|^2, 1 - |b|^2 and the coefficients (c1, c2, c3) of :func:`schur_triple`."""
     ac = a.conjugate()
     ka = 1.0 - (a * ac).real
     kb = 1.0 - (b * b.conjugate()).real

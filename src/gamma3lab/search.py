@@ -8,11 +8,12 @@ The closed form is affine in eta: scale * gamma_3 = P(a, b) + w3 (1 - |a|^2)
 runs over (a, b) alone.
 
 Of the budget, 70% goes to global sampling and at most 30% to
-refinement, which also ends after its 40 rounds of one evaluation per
-move: at most 10 candidates x 40 rounds x 8 moves = 3200 evaluations
-(1600 real-only, with 4 moves).  So it spends its whole share only below
-about 10 700 iterations (5 300 real-only), and a search at the default
-10^5 makes at most 73 200 evaluations.
+refinement, in whole rounds of one evaluation per move of every
+candidate: min(40, share // (10 candidates x 8 moves)) rounds, with 4
+moves real-only.  So the refinement makes at most 3200 evaluations (1600
+real-only), runs all 40 rounds from about 10 700 iterations (5 300
+real-only), and a search at the default 10^5 makes at most 73 200.
+Below 266 iterations (132 real-only) its share pays for no round.
 
 The global phase evaluates (a, b), area-uniform on the bidisk (uniform on
 (-1, 1)^2 when real-only), in blocks of bounded size from the one
@@ -36,13 +37,12 @@ ordered by (-value, sample index), takes in every evaluated chunk, and
 no point of the overall top ten is skipped, so the ten best are those
 of evaluating every point.  They are refined in lockstep by moving a or
 b by +-step (and +-i step unless real-only), keeping each one's best
-move of a round and halving its step after a round without progress;
-the refinement budget is split evenly, and its remainder goes to the
-first candidates in top order.  The best point becomes one
-witness (:func:`gamma3lab.schwarz.schur_witness`), a degree-3 product
-whose zeros are real or a conjugate pair in real-only searches.  Its
-series value must match the Schur value, and is reported.  The proved
-bound is certified once per family per process.
+move of a round and halving its step after a round without progress.
+The best point becomes one witness
+(:func:`gamma3lab.schwarz.schur_witness`), a degree-3 product whose zeros
+are real or a conjugate pair in real-only searches.  Its series value
+must match the Schur value, and is reported.  The proved bound is
+certified once per family per process.
 
 Whether the general (complex a2) upper bounds are attained is open; a
 result's gap quantifies the remaining interval without drawing conclusions.
@@ -57,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_ITERATIONS, DEFAULT_SEED, TOL, VerificationFailed
-from .families import Family, _closed_form, gamma3_closed_form
+from .families import Family, gamma3_closed_form
 from .objective import value_xy
 from .optimize import global_bound
 from .schwarz import (
@@ -118,7 +118,7 @@ class SearchResult:
                 f"{self.upper_bound!r}; a witness is not a Schwarz function"
             )
         if self.remark_value is not None and not (
-            self.best_value <= self.remark_value + TOL.remark_compliance
+            self.best_value <= self.remark_value + TOL.bound_compliance
         ):
             raise VerificationFailed(
                 f"real-coefficient search value {self.best_value!r} exceeds the "
@@ -148,7 +148,8 @@ def _proved_bound(family: Family) -> float:
 def _schur_value(family: Family, a, b):
     """|gamma_3| at the best eta for complex Schur parameters a, b (scalars or arrays)."""
     ka, kb, c = _schur(a, b, 0.0)
-    return abs(_closed_form(family, *c)) + family.gamma3_weights[3] * ka * kb / family.scale
+    p = gamma3_closed_form(family, SchwarzTriple(*c))
+    return abs(p) + family.gamma3_weights[3] * ka * kb / family.scale
 
 
 def _majorant(family: Family, radii: np.ndarray, real_only: bool) -> np.ndarray:
@@ -174,9 +175,9 @@ def _points(origin: np.uint64, columns: np.ndarray, radii: np.ndarray, real_only
 
 
 def _floor(values: np.ndarray) -> float:
-    """The tenth largest value, which a top-ten point must reach; -inf while fewer exist."""
-    k = len(values) - _TOP_CANDIDATES
-    return np.partition(values, k)[k] if k >= 0 else -np.inf
+    """The tenth value of the top ten that :func:`_take` keeps in order, which a top-ten
+    point must reach; -inf while fewer are kept."""
+    return values[-1] if len(values) == _TOP_CANDIDATES else -np.inf
 
 
 def _top_candidates(values: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -198,41 +199,36 @@ def _take(kept: tuple, family: Family, origin: np.uint64, columns: np.ndarray,
     return tuple(x[top] for x in merged)
 
 
-def _refine(family: Family, a, b, values, caps: np.ndarray, real_only: bool):
-    """Coordinate search from every (a[i], b[i]) at once, one evaluation per round.
+def _refine(family: Family, a, b, values, share: int, real_only: bool):
+    """Coordinate search from every (a[i], b[i]) at once, in whole rounds.
 
-    ``caps[i]`` caps the evaluations of row i.  A row skips moves that leave
-    the bidisk, evaluates no more than is left of its cap and takes its
-    first best move.  Each round writes every row's moves into one array
-    allocated once, evaluates them all in one pass and discards, as -inf,
-    the values of the moves a row skips.  Returns (a, b, value, used).
+    It runs min(40, share // (rows x moves)) rounds, so it evaluates at most
+    ``share`` moves.  In each round every row whose step is at least 1e-12
+    evaluates its moves that stay in the bidisk and takes its first best
+    one.  A round writes every row's moves into one array allocated once,
+    evaluates them all in one pass and discards, as -inf, the values of
+    the moves a row skips.  Returns (a, b, value).
     """
     directions = np.array([1, -1] if real_only else [1, -1, 1j, -1j])
     n, m = len(a), len(directions)
     step = np.full(n, _INITIAL_STEP)
-    used = np.zeros(n, dtype=int)
     rows = np.arange(n)
     ab = np.stack([a, b])
     moves = np.empty((2, n, 2 * m), complex)  # the a, then the b, of each row's moves
-    for _ in range(_REFINE_ROUNDS):
-        left = np.where(step >= 1e-12, caps - used, 0)  # what each row may still evaluate
-        if not left.any():
-            break
+    for _ in range(min(_REFINE_ROUNDS, share // (n * 2 * m))):
         shift = step[:, None] * directions
         moves[:] = ab[:, :, None]
         moves[0, :, :m] += shift
         moves[1, :, m:] += shift
-        valid = np.maximum(*abs(moves)) < 1.0 - 1e-9
-        tried = valid & (valid.cumsum(axis=1) <= left[:, None])
+        tried = (np.maximum(*abs(moves)) < 1.0 - 1e-9) & (step >= 1e-12)[:, None]
         v = np.where(tried, _schur_value(family, *moves), -np.inf)
-        used += tried.sum(axis=1)
         best = v.argmax(axis=1)
         v = v[rows, best]
         better = v > values
         ab = np.where(better, moves[:, rows, best], ab)
         values = np.where(better, v, values)
         step = np.where(better, step, 0.5 * step)
-    return ab[0], ab[1], values, used
+    return ab[0], ab[1], values
 
 
 def search_lower_bound(
@@ -244,12 +240,11 @@ def search_lower_bound(
     """Best |gamma_3| witness over the Schur parameters (a, b).
 
     ``iterations`` is the evaluation budget; 70% goes to global sampling,
-    the rest to refining the top candidates, split evenly with the
-    remainder to the first in top order.  The refinement's 40 rounds stop
-    it after at most 3200 evaluations (1600 real-only), short of its share
-    above about 10 700 iterations (5 300 real-only).  The reported value
-    is the witness's series value, checked against its Schur value.
-    Deterministic for fixed arguments.
+    the rest to refining the top candidates in as many whole rounds of
+    all their moves as it pays for, at most 40: 3200 evaluations (1600
+    real-only), short of the share above about 10 700 iterations (5 300
+    real-only).  The reported value is the witness's series value,
+    checked against its Schur value.  Deterministic for fixed arguments.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
@@ -276,9 +271,7 @@ def search_lower_bound(
         kept = _take(kept, family, origin, columns[left], radii[:, left], real_only)
     values, _, a, b = kept
 
-    budget, k = iterations - n_global, len(values)
-    caps = budget // k + (np.arange(k) < budget % k)
-    a, b, values, _ = _refine(family, a, b, values, caps, real_only)
+    a, b, values = _refine(family, a, b, values, iterations - n_global, real_only)
     best = int(np.argmax(values))  # the first candidate, in top order, with the best value
     best_a, best_b, schur = complex(a[best]), complex(b[best]), float(values[best])
 

@@ -214,6 +214,18 @@ class TestSearch:
         assert (code, err) == (0, "")
         assert out == (GOLDEN / golden).read_text(encoding="utf-8")
 
+    @pytest.mark.parametrize(
+        "golden, args",
+        [("search_f1_10665.json", ("f1", "--iterations", "10665")),
+         ("search_f2_real_5332.json", ("f2", "--real-only", "--iterations", "5332"))],
+    )
+    def test_smallest_budgets_of_all_rounds_are_pinned(self, capsys, golden, args):
+        # the smallest budgets whose refinement share pays for all 40 rounds: 3200 evaluations,
+        # or 1600 real-only
+        code, out, err = run_cli(capsys, "search", *args, "--format", "json")
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
     @pytest.mark.parametrize("real_only", [(), ("--real-only",)], ids=["complex", "real-only"])
     def test_text_witness_carries_the_json_digits(self, capsys, real_only):
         # every part of the witness prints to 12 significant digits, rotation included

@@ -437,6 +437,20 @@ class TestSchurParameters:
         assert in_body(SchwarzTriple(0.5, 0.75, -0.375))
         assert not in_body(SchwarzTriple(0.5, 0.75, 0))
 
+    def test_fields_are_held_as_given(self):
+        # ints and floats stay ints and floats, and the closed form of them is the one of the
+        # same complex triple: every value here is dyadic, so both are exact
+        for given in ((1, 0, 0), (-0.5, 0.75, 0.375), (0.25, -0.5, 0)):
+            c = SchwarzTriple(*given)
+            assert [type(x) for x in (c.c1, c.c2, c.c3)] == [type(x) for x in given]
+            as_complex = SchwarzTriple(*(complex(x) for x in given))
+            for family in (F1, F2, F3):
+                assert gamma3_closed_form(family, c) == gamma3_closed_form(family, as_complex)
+        t = schur_triple(0.5, -0.25, 1.0)
+        assert [type(x) for x in (t.c1, t.c2, t.c3)] == [float] * 3
+        t = schur_triple(np.array([0.5, -0.25]), np.array([0.75, 0.0]), 1.0)
+        assert [x.dtype for x in (t.c1, t.c2, t.c3)] == [np.float64] * 3
+
     def test_boundary_triples_built_in_floats_are_in_the_body(self):
         # |b| = 1 forces c3 = -a (1 - a^2); one rounding in c3 made the
         # quotient eta of schur_parameters infinite for 360 of these

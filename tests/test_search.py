@@ -31,29 +31,39 @@ import reference
 from reference import sample_batch, search_points
 
 
-def _reference_refine(family, a, b, value, budget, real_only):
-    """The coordinate search of one candidate, one scalar evaluation at a time."""
+def _reference_refine(family, a, b, value, rounds, real_only):
+    """``rounds`` rounds of the coordinate search of one candidate, one scalar evaluation
+    at a time."""
     directions = (1, -1) if real_only else (1, -1, 1j, -1j)
     step = search._INITIAL_STEP
-    used = 0
-    for _ in range(search._REFINE_ROUNDS):
-        if used >= budget or step < 1e-12:
+    for _ in range(rounds):
+        if step < 1e-12:
             break
         moves = [(a + d * step, b) for d in directions] + [(a, b + d * step) for d in directions]
         improved = False
         for ma, mb in moves:
-            if used >= budget:
-                break
             if max(abs(ma), abs(mb)) >= 1.0 - 1e-9:
                 continue
             v = _schur_value(family, ma, mb)
-            used += 1
             if v > value:
                 a, b, value = ma, mb, v
                 improved = True
         if not improved:
             step *= 0.5
-    return a, b, value, used
+    return a, b, value
+
+
+def _count_refine_rounds(monkeypatch, rounds):
+    """Record in ``rounds`` the number of moves, evaluated or skipped, of each refinement
+    round: the global phase evaluates 1-D arrays of points, a round one 2-D array of moves."""
+    exact = search._schur_value
+
+    def record(family, a, b):
+        if np.ndim(a) == 2:
+            rounds.append(a.size)
+        return exact(family, a, b)
+
+    monkeypatch.setattr(search, "_schur_value", record)
 
 
 def _best_over_eta(family, a, b):
@@ -152,6 +162,11 @@ class TestSearchLowerBound:
             SearchResult(best_value=r.upper_bound + 1e-6, real_only=False, **fields)
         with pytest.raises(VerificationFailed):
             SearchResult(best_value=REMARK_VALUES["F1"] + 1e-5, real_only=True, **fields)
+        # a real-only value may exceed its sharp value by the bound's slack alone; over 120
+        # real-only searches the most one did was 5.6e-17
+        SearchResult(best_value=REMARK_VALUES["F1"] + 5e-10, real_only=True, **fields)
+        with pytest.raises(VerificationFailed, match="sharp real-a2"):
+            SearchResult(best_value=REMARK_VALUES["F1"] + 2e-9, real_only=True, **fields)
 
     def test_nan_fails_both_bound_checks(self, monkeypatch):
         r = search_lower_bound(F1, iterations=50, seed=1, real_only=True)
@@ -171,24 +186,20 @@ class TestSearchLowerBound:
         with pytest.raises(WitnessMismatch):
             search_lower_bound(F1, iterations=100, seed=1)
 
-    @pytest.mark.parametrize("real_only, moves", [(False, 8), (True, 4)], ids=["complex", "real-only"])
-    def test_refinement_spends_at_most_its_rounds(self, monkeypatch, real_only, moves):
-        # each round tries one move per direction of a and of b, so the rounds cap the
-        # refinement at 10 x 40 x moves evaluations, far below 30% of the default budget;
-        # its own share caps it only in small searches, which spend all of it
-        spent, lockstep = [], search._refine
-
-        def spy(*args):
-            out = lockstep(*args)
-            spent.append(int(out[3].sum()))
-            return out
-
-        monkeypatch.setattr(search, "_refine", spy)
-        for iterations in (100_000, 2000, 45):
+    @pytest.mark.parametrize(
+        "real_only, expected", [(False, [40, 7, 0]), (True, [40, 15, 0])], ids=["complex", "real-only"]
+    )
+    def test_refinement_spends_at_most_its_rounds(self, monkeypatch, real_only, expected):
+        # each round tries one move per direction of a and of b for each of the ten candidates,
+        # so the 40 rounds stop the refinement far below 30% of the default budget, and in small
+        # searches it runs the whole rounds that its share of 600 or 14 evaluations pays for
+        rounds = []
+        _count_refine_rounds(monkeypatch, rounds)
+        for iterations, n in zip((100_000, 2000, 45), expected):
+            rounds.clear()
             search_lower_bound(F1, iterations, seed=1, real_only=real_only)
-        ceiling = search._TOP_CANDIDATES * search._REFINE_ROUNDS * moves
-        assert spent[0] <= ceiling < 0.3 * 100_000
-        assert spent[1:] == [600, 14]
+            share = iterations - round(0.7 * iterations)
+            assert len(rounds) == n and sum(rounds) <= share
 
     def test_bound_is_certified_once_per_family(self, monkeypatch):
         calls = []
@@ -203,9 +214,10 @@ class TestSearchLowerBound:
         for real_only in (False, True):
             a, b = sample_batch(4, 3, 20, real_only).zeros
             start = _best_over_eta(F1, a, b)
-            for budget in (10, 50, 200):
-                ra, rb, refined, used = _refine(F1, a, b, start, np.full(len(a), budget), real_only)
-                assert (refined >= start).all() and (used <= budget).all()
+            moves = 4 if real_only else 8
+            for rounds in (0, 1, 3, 10, 40):
+                ra, rb, refined = _refine(F1, a, b, start, rounds * len(a) * moves, real_only)
+                assert (refined >= start).all()
                 assert (abs(ra) < 1 - 1e-9).all() and (abs(rb) < 1 - 1e-9).all()
                 if real_only:
                     assert (ra.imag == 0).all() and (rb.imag == 0).all()
@@ -221,26 +233,42 @@ class TestSearchLowerBound:
                 a, b = sample_batch(4, 3, 20, real_only).zeros
                 a, b = np.concatenate([a, edge_a]), np.concatenate([b, edge_b])
                 start = _schur_value(family, a, b)
-                for budget in (1, 3, 10, 50, 200, 3000):
-                    batched = _refine(family, a, b, start, np.full(len(a), budget), real_only)
-                    for j, (ra, rb, rv, used) in enumerate(zip(*batched)):
+                moves = 4 if real_only else 8
+                for rounds in (0, 1, 3, 10, 40):
+                    batched = _refine(family, a, b, start, rounds * len(a) * moves, real_only)
+                    for j, (ra, rb, rv) in enumerate(zip(*batched)):
                         ref = _reference_refine(
                             family, complex(a[j]), complex(b[j]), float(start[j]),
-                            budget, real_only,
+                            rounds, real_only,
                         )
-                        assert used == ref[3]
                         worst = max(worst, abs(ra - ref[0]), abs(rb - ref[1]), abs(rv - ref[2]))
         assert worst <= 1e-15
 
-    def test_candidates_share_the_budget_in_top_order(self, monkeypatch):
-        # an even split whose remainder goes to the first candidates, for budgets below, at
-        # and above the number of candidates, with a remainder (45, 2005) and without
-        seen = {}
+    def test_refinement_keeps_its_step_floor_and_disk_margin(self, monkeypatch):
+        # a step below 1e-12 ends a row's search; from +-1, +-i times 1 - 1.5e-9, a step of 1e-9
+        # outward reaches |a| or |b| < 1 but not < 1 - 1e-9, so it is skipped
+        a, b = sample_batch(4, 3, 20, False).zeros
+        start = _schur_value(F1, a, b)
+        monkeypatch.setattr(search, "_INITIAL_STEP", 5e-13)
+        ra, rb, refined = _refine(F1, a, b, start, 40 * len(a) * 8, False)
+        assert (ra == a).all() and (rb == b).all() and (refined == start).all()
+        monkeypatch.setattr(search, "_INITIAL_STEP", 1e-9)
+        edge = (1 - 1.5e-9) * 1j ** np.arange(len(a))
+        for ea, eb in ((edge, b), (a, edge)):
+            for family in (F1, F2, F3):
+                ra, rb, _ = _refine(family, ea, eb, _schur_value(family, ea, eb), len(a) * 8, False)
+                assert (np.maximum(abs(ra), abs(rb)) < 1 - 1e-9).all()
+
+    def test_every_candidate_runs_the_rounds_its_share_pays_for(self, monkeypatch):
+        # min(40, share // (k x 8)) rounds, for budgets below, at and above the number of
+        # candidates, whose share pays for no round (up to 45), for one (400) or seven (2005),
+        # and from the budget (10 665) whose share first pays for all 40 rounds
+        seen, rounds = {}, []
         lockstep, witness = search._refine, search.schur_witness
 
-        def spy_refine(family, a, b, values, budget, real_only):
-            refined = lockstep(family, a, b, values, budget, real_only)
-            seen["refine"] = (a, b, values, budget), refined
+        def spy_refine(family, a, b, values, share, real_only):
+            refined = lockstep(family, a, b, values, share, real_only)
+            seen["refine"] = (a, b, values, share), refined
             return refined
 
         def spy_witness(a, b, eta):
@@ -249,20 +277,20 @@ class TestSearchLowerBound:
 
         monkeypatch.setattr(search, "_refine", spy_refine)
         monkeypatch.setattr(search, "schur_witness", spy_witness)
-        for iterations in (4, 10, 13, 20, 33, 45, 400, 2005):
-            budget = iterations - round(0.7 * iterations)
+        _count_refine_rounds(monkeypatch, rounds)
+        for iterations in (4, 10, 13, 20, 33, 45, 400, 2005, 10_665):
+            share = iterations - round(0.7 * iterations)
             for seed in range(1, 13):
+                rounds.clear()
                 search_lower_bound(F1, iterations, seed)
-                (a, b, values, caps), refined = seen["refine"]
-                assert caps.sum() == budget
+                (a, b, values, given), refined = seen["refine"]
+                n = min(search._REFINE_ROUNDS, share // (len(a) * 8))
+                assert given == share and len(rounds) == n
                 best = (-np.inf, None, None)
                 for j, row in enumerate(zip(*refined)):
-                    cap = budget // len(a) + (j < budget % len(a))
-                    assert caps[j] == cap
                     ref = _reference_refine(
-                        F1, complex(a[j]), complex(b[j]), float(values[j]), cap, False
+                        F1, complex(a[j]), complex(b[j]), float(values[j]), n, False
                     )
-                    assert row[3] == ref[3]
                     assert max(abs(row[i] - ref[i]) for i in range(3)) <= 1e-15
                     if ref[2] > best[0]:
                         best = (ref[2], ref[0], ref[1])
@@ -270,8 +298,8 @@ class TestSearchLowerBound:
                 assert abs(seen["best"][1] - best[2]) <= 1e-15
 
     def test_ties_go_to_the_first_candidate_in_top_order(self, monkeypatch):
-        def tied(family, a, b, values, budget, real_only):
-            return a, b, np.full(len(a), values.max()), np.zeros(len(a), dtype=int)
+        def tied(family, a, b, values, share, real_only):
+            return a, b, np.full(len(a), values.max())
 
         monkeypatch.setattr(search, "_refine", tied)
         r = search_lower_bound(F1, 700, seed=9)
@@ -288,9 +316,9 @@ class TestSearchLowerBound:
                 calls.append((a, b))
             return exact(family, a, b)
 
-        def record_top(family, a, b, values, budget, real_only):
+        def record_top(family, a, b, values, share, real_only):
             top.update(a=a, b=b, values=values)
-            return lockstep(family, a, b, values, budget, real_only)
+            return lockstep(family, a, b, values, share, real_only)
 
         def row_bytes(a, b):
             return {row.tobytes() for row in np.stack([a, b], axis=1)}
@@ -425,9 +453,9 @@ class TestSearchLowerBound:
         # fewer than ten and counts just past a block all end the floor's chunked seeding
         top, lockstep = {}, search._refine
 
-        def record_top(family, a, b, values, budget, real_only):
+        def record_top(family, a, b, values, share, real_only):
             top.update(a=a, b=b, values=values)
-            return lockstep(family, a, b, values, budget, real_only)
+            return lockstep(family, a, b, values, share, real_only)
 
         monkeypatch.setattr(search, "_refine", record_top)
         monkeypatch.setattr(schwarz, "BLOCK_ROWS", block_rows)
