@@ -147,7 +147,7 @@ def _cmd_gamma(args: argparse.Namespace) -> int:
                           "(Schur parameters |a|, |b|, |eta| <= 1)")
     closed = fam.gamma3_closed_form(args.family, triple)
     # gamma_3 reads f up to z^(3 + 1), which reads w up to z^3
-    w = TruncatedSeries.from_polynomial((0.0, args.c1, args.c2, args.c3), 3)
+    w = TruncatedSeries.from_polynomial((0j, args.c1, args.c2, args.c3), 3)
     f = fam.member_series(args.family, w, 3 + 1)
     oracle = fam.gamma_sequence(f, 3)[2]
     delta = abs(closed - oracle)

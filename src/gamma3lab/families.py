@@ -48,22 +48,22 @@ class Family:
     ``generator`` holds the coefficients of h (constant term first, 1),
     ``scale`` the denominator of the gamma_3 closed form, and
     ``gamma3_weights`` the numerator weights of the monomials
-    (1, c1, c2, c3, c1*c2, c1^3) in that order.
+    (1, c1, c2, c3, c1*c2, c1^3) in that order; all are exact ints.
     """
 
     tag: str
-    generator: tuple[float, ...]
+    generator: tuple[int, ...]
     scale: int
-    gamma3_weights: tuple[float, float, float, float, float, float]
+    gamma3_weights: tuple[int, int, int, int, int, int]
 
     def __post_init__(self) -> None:
-        if self.generator[0] != 1.0:
+        if self.generator[0] != 1:
             raise ValueError(f"a generator must have h(0) = 1, not {self.generator[0]!r}")
 
 
-F1 = Family("F1", (1.0, -1.0), 48, (3.0, 2.0, 4.0, 12.0, 8.0, 4.0))
-F2 = Family("F2", (1.0, 0.0, -1.0), 12, (0.0, 1.0, 0.0, 3.0, 2.0, 1.0))
-F3 = Family("F3", (1.0, -1.0, 1.0), 48, (-5.0, -2.0, 4.0, 12.0, 8.0, 4.0))
+F1 = Family("F1", (1, -1), 48, (3, 2, 4, 12, 8, 4))
+F2 = Family("F2", (1, 0, -1), 12, (0, 1, 0, 3, 2, 1))
+F3 = Family("F3", (1, -1, 1), 48, (-5, -2, 4, 12, 8, 4))
 
 FAMILIES: dict[str, Family] = {"f1": F1, "f2": F2, "f3": F3}
 
@@ -79,8 +79,8 @@ def gamma3_closed_form(family: Family, c: SchwarzTriple) -> complex:
     """Family closed form for gamma_3 in terms of (c1, c2, c3).
 
     Agrees to rounding error, for arbitrary inputs, with the series-log
-    route gamma_sequence(member_series(family, c1 z + c2 z^2 + c3 z^3)).
-    On a triple of arrays it gives an array.
+    route gamma_sequence(member_series(family, c1 z + c2 z^2 + c3 z^3)),
+    and exactly on ``Fraction`` inputs.  On arrays it gives an array.
     """
     c1, c2, c3 = c.c1, c.c2, c.c3
     w0, w1, w2, w3, w12, w111 = family.gamma3_weights
@@ -94,7 +94,7 @@ def member_series(family: Family, w: TruncatedSeries, order: int) -> TruncatedSe
     fabricated; f(0) = 0 and f'(0) = 1 hold by construction.  One pass
     solves q (1 - w) = 1 + w for q, one divides q by h (h(0) = 1), through
     f'_k = q_k - h_1 f'_{k-1} - h_2 f'_{k-2} - ..., and f is the
-    antiderivative.
+    antiderivative; its zero and one are w(0)'s, so exact w gives exact f.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -105,12 +105,14 @@ def member_series(family: Family, w: TruncatedSeries, order: int) -> TruncatedSe
             f"w carries data to order {w.order}, need {order - 1} for f at order {order}"
         )
     x = w.coeffs
-    inv = 1.0 / (1.0 - x[0])
-    q = [(1.0 + x[0]) * inv]
+    zero = x[0] - x[0]
+    one = zero + 1
+    inv = one / (one - x[0])
+    q = [(one + x[0]) * inv]
     for k in range(1, order):
-        # q_k (1 - w_0) = w_k + sum_{j=1..k} w_j q_{k-j}; adding 0j makes a
-        # -0.0 part of w_k +0.0, so no zero part of f is -0.0
-        s = x[k] + 0j
+        # q_k (1 - w_0) = w_k + sum_{j=1..k} w_j q_{k-j}; adding the zero
+        # makes a -0.0 part of w_k +0.0, so no zero part of f is -0.0
+        s = x[k] + zero
         for j in range(1, k + 1):
             s += x[j] * q[k - j]
         q.append(s * inv)
@@ -120,7 +122,7 @@ def member_series(family: Family, w: TruncatedSeries, order: int) -> TruncatedSe
         for j in range(1, min(k + 1, len(h))):
             c -= h[j] * f_prime[k - j]
         f_prime.append(c)
-    return antiderivative(TruncatedSeries._of(tuple(f_prime)))
+    return antiderivative(TruncatedSeries(tuple(f_prime)))
 
 
 def gamma_sequence(f: TruncatedSeries, m: int) -> list[complex]:
@@ -163,4 +165,4 @@ def koebe_series(order: int) -> TruncatedSeries:
 
 def identity_series(order: int) -> TruncatedSeries:
     """f(z) = z."""
-    return TruncatedSeries.from_polynomial((0.0, 1.0), order)
+    return TruncatedSeries.from_polynomial((0j, 1 + 0j), order)

@@ -28,9 +28,9 @@ from .families import Family
 def quadratic_in_y(family: Family, x: float) -> tuple[float, float, float]:
     """(a, b, c) of the objective a + y (b - c y) at x; c > 0 exactly when w3 > 0."""
     w0, w1, w2, w3, w12, w111 = family.gamma3_weights
-    a = abs(w0) + abs(w1) * x + w3 * (1.0 - x * x) + abs(w111) * x ** 3
+    a = abs(w0) + abs(w1) * x + w3 * (1 - x * x) + abs(w111) * x ** 3
     b = abs(w2) + abs(w12) * x
-    c = w3 / (1.0 + x)
+    c = w3 / (1 + x)
     return a, b, c
 
 

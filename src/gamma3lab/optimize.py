@@ -42,7 +42,7 @@ GRID_STEP = 1e-3
 
 #: A published transcription of the third family's top-edge restriction;
 #: substitution gives -16x^3 where it has -20x^3.
-PUBLISHED_F3_TOP = (9.0, 22.0, -4.0, -20.0)
+PUBLISHED_F3_TOP = (9, 22, -4, -20)
 
 
 class UnknownEdge(ValueError):
@@ -152,8 +152,8 @@ def _edge_polynomial(family: Family, edge: str) -> tuple[float, ...]:
 
 
 def _edge_point(edge: str, t: float) -> tuple[float, float]:
-    """The point (x, y) of an edge at the parameter of :func:`_edge_polynomial`."""
-    return {"bottom": (t, 0.0), "left": (0.0, t), "top": (t, 1.0 - t * t)}[edge]
+    """The point (x, y), in t's type, of an edge at the parameter of :func:`_edge_polynomial`."""
+    return {"bottom": (t, t - t), "left": (t - t, t), "top": (t, 1 - t * t)}[edge]
 
 
 def _maximize_on_unit_interval(coeffs: tuple[float, ...]) -> tuple[float, float]:

@@ -132,22 +132,24 @@ def taylor_of_blaschke(b: BlaschkeProduct, order: int) -> TruncatedSeries:
     it by z - a and divides it by 1 - conj(a) z in one pass, through
     p_k = t_{k-1} - a t_k and q_k = p_k + conj(a) q_{k-1}, and q replaces
     t; the pinned factor z and the rotation then shift and scale it.  The
-    constant coefficient is exactly zero.
+    zero and the one come from the rotation, a ``complex``, so every operation
+    is between complex numbers, and the constant coefficient is exactly zero.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    t = [1.0 + 0j] + [0j] * (order - 1)
+    rotation = b.rotation
+    zero = rotation - rotation
+    t = [zero + 1] + [zero] * (order - 1)
     for a in b.zeros:
         ac = a.conjugate()
-        prev = q = 0j
+        prev = q = zero
         out = []
         for c in t:
             q = prev - a * c + ac * q
             prev = c
             out.append(q)
         t = out
-    rotation = b.rotation
-    return TruncatedSeries._of((0j,) + tuple(rotation * c for c in t))
+    return TruncatedSeries((zero,) + tuple(rotation * c for c in t))
 
 
 def triple_of_blaschke(b: BlaschkeProduct | BlaschkeBatch) -> SchwarzTriple:
@@ -160,10 +162,10 @@ def triple_of_blaschke(b: BlaschkeProduct | BlaschkeBatch) -> SchwarzTriple:
     the same lines run on complex scalars and on complex arrays.
     :func:`taylor_of_blaschke` is the independent series route.
     """
-    t0, t1, t2 = 1.0, 0.0, 0.0
+    t0, t1, t2 = 1, 0, 0
     for a in b.zeros:
         ac = a.conjugate()
-        lead = 1.0 - (a * ac).real
+        lead = 1 - (a * ac).real
         t0, t1, t2 = -a * t0, lead * t0 - a * t1, ac * lead * t0 + lead * t1 - a * t2
     return SchwarzTriple(b.rotation * t0, b.rotation * t1, b.rotation * t2)
 
@@ -180,8 +182,8 @@ def schur_triple(a: complex, b: complex, eta: complex) -> SchwarzTriple:
 def _schur(a, b, eta):
     """1 - |a|^2, 1 - |b|^2 and the coefficients (c1, c2, c3) of :func:`schur_triple`."""
     ac = a.conjugate()
-    ka = 1.0 - (a * ac).real
-    kb = 1.0 - (b * b.conjugate()).real
+    ka = 1 - (a * ac).real
+    kb = 1 - (b * b.conjugate()).real
     return ka, kb, (a, ka * b, ka * (kb * eta - ac * b * b))
 
 

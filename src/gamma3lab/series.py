@@ -1,4 +1,4 @@
-"""Truncated Taylor series over complex coefficients.
+"""Truncated Taylor series over complex or exact rational coefficients.
 
 A :class:`TruncatedSeries` stores the coefficients of a finite expansion
 
@@ -16,11 +16,10 @@ their builders, :func:`gamma3lab.schwarz.taylor_of_blaschke` and
 factor instead.  The O(n^2) products and reciprocals they replace are kept
 as the test suite's reference, which the recurrences are checked against.
 
-Outside data is coerced to ``complex`` once, where it enters: the public
-constructor and :meth:`TruncatedSeries.from_polynomial`.  Every operation
-here computes complex coefficients from complex coefficients, so it builds
-its result directly, through :meth:`TruncatedSeries._of`, without coercing
-them again.
+A series holds its coefficients as given, and every operation takes its
+zero and its one from its own data, so ``fractions.Fraction`` data gives
+exact results and complex data complex ones.  Only the float entry points
+coerce: :class:`gamma3lab.schwarz.BlaschkeProduct` and the command line.
 
 All values are immutable and all functions are pure, so everything here is
 safe for unrestricted concurrent use.
@@ -42,35 +41,23 @@ class NotNormalized(ValueError):
 class TruncatedSeries:
     """Finite Taylor expansion; ``coeffs[k]`` multiplies ``z**k``."""
 
-    coeffs: tuple[complex, ...]
+    coeffs: tuple
 
     def __post_init__(self) -> None:
         if len(self.coeffs) == 0:
             raise ValueError("a series needs at least its constant term")
-        object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
 
     @classmethod
-    def _of(cls, coeffs: tuple[complex, ...]) -> "TruncatedSeries":
-        """The series of ``coeffs``, a nonempty tuple of ``complex``, as is.
-
-        For results computed from series, whose coefficients are complex
-        already; outside data goes through the public constructor.
-        """
-        s = object.__new__(cls)
-        object.__setattr__(s, "coeffs", coeffs)
-        return s
-
-    @classmethod
-    def from_polynomial(cls, coeffs: Sequence[complex], order: int) -> "TruncatedSeries":
+    def from_polynomial(cls, coeffs: Sequence, order: int) -> "TruncatedSeries":
         """Lift a polynomial to a series of the given order.
 
-        Padding with zeros is legitimate here because a polynomial's higher
-        coefficients are known to be exactly zero.
+        Padding with zeros, c0 - c0 in c0's type, is legitimate here because
+        a polynomial's higher coefficients are known to be exactly zero.
         """
         if order < 0:
             raise ValueError("order must be >= 0")
-        padded = list(coeffs[: order + 1]) + [0.0] * (order + 1 - len(coeffs))
-        return cls(tuple(padded))
+        zero = coeffs[0] - coeffs[0]
+        return cls(tuple(coeffs[: order + 1]) + (zero,) * (order + 1 - len(coeffs)))
 
     @property
     def order(self) -> int:
@@ -81,12 +68,13 @@ class TruncatedSeries:
             raise ValueError("order must be >= 0")
         if order > self.order:
             raise ValueError("cannot extend a series past its known order")
-        return TruncatedSeries._of(self.coeffs[: order + 1])
+        return TruncatedSeries(self.coeffs[: order + 1])
 
 
 def antiderivative(a: TruncatedSeries) -> TruncatedSeries:
     """Term-wise antiderivative with constant term zero; raises order by one."""
-    return TruncatedSeries._of((0j,) + tuple(c / k for k, c in enumerate(a.coeffs, 1)))
+    zero = a.coeffs[0] - a.coeffs[0]
+    return TruncatedSeries((zero,) + tuple(c / k for k, c in enumerate(a.coeffs, 1)))
 
 
 def log_over_z(f: TruncatedSeries) -> TruncatedSeries:
@@ -106,11 +94,12 @@ def log_over_z(f: TruncatedSeries) -> TruncatedSeries:
         raise NotNormalized(f"series is not normalized: f(0)={x[0]!r}, f'(0)={x[1]!r}")
     u = x[1:]  # coefficients of f/z; u[0] == 1 up to tolerance
     n_max = len(u) - 1
-    g = [0j] * (n_max + 1)
+    zero = u[0] - u[0]
+    g = [zero] * (n_max + 1)
     for n in range(n_max):
         # (n+1) u[n+1] = sum_{j=0..n} (j+1) g[j+1] u[n-j]
-        s = 0j
+        s = zero
         for j in range(n):
             s += (j + 1) * g[j + 1] * u[n - j]
         g[n + 1] = ((n + 1) * u[n + 1] - s) / ((n + 1) * u[0])
-    return TruncatedSeries._of(tuple(g))
+    return TruncatedSeries(tuple(g))

@@ -15,11 +15,10 @@ def assert_series_close(a: TruncatedSeries, b: TruncatedSeries, tol: float = 1e-
 
 
 def bits(s: TruncatedSeries) -> tuple[tuple[str, str], ...]:
-    """The exact bits of every coefficient, ±0.0 told apart; a series'
-    coefficients must be a tuple of Python ``complex``."""
+    """The exact bits of every coefficient as a complex number, ±0.0 told
+    apart; a series' coefficients must be a tuple."""
     assert type(s.coeffs) is tuple
-    assert all(type(c) is complex for c in s.coeffs), s.coeffs
-    return tuple((c.real.hex(), c.imag.hex()) for c in s.coeffs)
+    return tuple((c.real.hex(), c.imag.hex()) for c in map(complex, s.coeffs))
 
 
 def sampled_product(key: str | int, degree: int, real_only: bool = False):

@@ -2,10 +2,11 @@
 in the program.
 
 The index-loop bodies below are plain definitions: they read every
-coefficient through ``.coeffs`` and build every result through the public,
-coercing constructor.  ``truncate``, ``antiderivative`` and ``log_over_z``
-define the operations of :mod:`gamma3lab.series`, which must agree with
-them bit for bit.  ``add``, ``sub``, ``multiply`` and ``reciprocal`` are
+coefficient through ``.coeffs`` and build every result through the public
+constructor, which holds its data as given.  ``truncate``,
+``antiderivative`` and ``log_over_z`` define the operations of
+:mod:`gamma3lab.series`, which must agree with them bit for bit; like
+them, the last two take their zero from their data.  ``add``, ``sub``, ``multiply`` and ``reciprocal`` are
 the O(n^2) sum, difference, Cauchy product and reciprocal that the program
 no longer has: ``taylor_of_blaschke`` and ``member_series`` below compose
 them factor by factor, building every series afresh on every call.  The
@@ -84,7 +85,7 @@ def reciprocal(a: TruncatedSeries) -> TruncatedSeries:
 
 
 def antiderivative(a: TruncatedSeries) -> TruncatedSeries:
-    out = [0j] + [a.coeffs[k] / (k + 1) for k in range(a.order + 1)]
+    out = [a.coeffs[0] - a.coeffs[0]] + [a.coeffs[k] / (k + 1) for k in range(a.order + 1)]
     return TruncatedSeries(tuple(out))
 
 
@@ -95,9 +96,10 @@ def log_over_z(f: TruncatedSeries) -> TruncatedSeries:
         raise NotNormalized("series is not normalized")
     u = f.coeffs[1:]
     n_max = len(u) - 1
-    g = [0j] * (n_max + 1)
+    zero = u[0] - u[0]
+    g = [zero] * (n_max + 1)
     for n in range(n_max):
-        s = 0j
+        s = zero
         for j in range(n):
             s += (j + 1) * g[j + 1] * u[n - j]
         g[n + 1] = ((n + 1) * u[n + 1] - s) / ((n + 1) * u[0])

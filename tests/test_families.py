@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -54,6 +56,11 @@ class TestFamilyRecords:
         assert F3.generator == (1.0, -1.0, 1.0)
         assert (F1.scale, F2.scale, F3.scale) == (48, 12, 48)
 
+    def test_constants_are_exact_ints(self):
+        for family in ALL_FAMILIES:
+            constants = (*family.generator, family.scale, *family.gamma3_weights)
+            assert all(type(k) is int for k in constants), family
+
     def test_a_generator_must_be_one_at_the_origin(self):
         # member_series divides by h through h(0) = 1
         with pytest.raises(ValueError, match="h\\(0\\) = 1"):
@@ -98,6 +105,21 @@ class TestGamma3:
         assert abs(gamma3_closed_form(F1, SchwarzTriple(1, 0, 0)) - 0.1875) <= 1e-15
         assert gamma3_closed_form(F2, SchwarzTriple(0, 0, 0)) == 0j
         assert abs(gamma3_closed_form(F3, SchwarzTriple(0, 0, 0)) - (-5 / 48)) <= 1e-15
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.tag)
+    def test_closed_form_equals_the_series_route_exactly(self, family):
+        """Over the rationals the two routes agree with no tolerance on
+        {0, 1/2, -1/3, 1/5}^3.  Both are polynomials of degree at most 3 in
+        each of c1, c2 and c3, and two such polynomials that agree on a
+        4 x 4 x 4 grid of distinct values are equal, so this proves the
+        family's typed weights exactly."""
+        grid = (Fraction(0), Fraction(1, 2), Fraction(-1, 3), Fraction(1, 5))
+        for c1, c2, c3 in itertools.product(grid, repeat=3):
+            closed = gamma3_closed_form(family, SchwarzTriple(c1, c2, c3))
+            w = TruncatedSeries.from_polynomial((Fraction(0), c1, c2, c3), DEFAULT_ORDER)
+            via_log = gamma_sequence(member_series(family, w, DEFAULT_ORDER), 3)[2]
+            assert type(closed) is Fraction and type(via_log) is Fraction
+            assert closed == via_log, (c1, c2, c3)
 
     @given(bounded_complex(), bounded_complex(), bounded_complex())
     @settings(max_examples=300)

@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from gamma3lab.optimize import (
     PUBLISHED_F3_TOP,
     CertificationMismatch,
     _dense_grid_max,
+    _edge_point,
     _edge_polynomial,
     _lattice_columns,
     _maximize_on_unit_interval,
@@ -101,6 +103,30 @@ class TestEdgeMaximum:
             t, v = _maximize_on_unit_interval(poly)
             assert type(v) is float
             assert v.hex() == float(np.polynomial.polynomial.polyval(t, poly)).hex()
+
+    #: Four rational points of an edge's parameter range [0, 1].
+    RATIONAL_POINTS = (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1))
+
+    @classmethod
+    def _misses(cls, family, edge, row):
+        """The rational points where ``row`` is not the objective on ``edge``, exactly."""
+        return [
+            t for t in cls.RATIONAL_POINTS
+            if sum(c * t**k for k, c in enumerate(row)) != value_xy(family, *_edge_point(edge, t))
+        ]
+
+    @pytest.mark.parametrize("family", (F1, F2, F3), ids=lambda f: f.tag)
+    @pytest.mark.parametrize("edge", optimize_module.EDGES)
+    def test_each_row_is_the_objective_on_its_edge_exactly(self, family, edge):
+        # on each edge the objective is a polynomial of degree <= 3 in the
+        # parameter, so agreeing with the row at four points proves the row
+        t = self.RATIONAL_POINTS[1]
+        assert type(value_xy(family, *_edge_point(edge, t))) is Fraction
+        assert self._misses(family, edge, _edge_polynomial(family, edge)) == []
+
+    def test_the_published_top_row_fails_the_exact_check(self):
+        # it has -20x^3 for -16x^3, so it misses everywhere but x = 0
+        assert self._misses(F3, "top", PUBLISHED_F3_TOP) == list(self.RATIONAL_POINTS[1:])
 
     def test_edge_restrictions_match_hand_substitution(self):
         # substituting y=0, x=0 and y=1-x^2 into the objectives by hand

@@ -12,6 +12,7 @@ from gamma3lab import (
     NotNormalized,
     TruncatedSeries,
     antiderivative,
+    gamma_sequence,
     log_over_z,
     member_series,
     taylor_of_blaschke,
@@ -119,6 +120,13 @@ class TestLogOverZ:
         g = log_over_z(koebe_series(8))
         for n in range(1, 8):
             assert abs(g.coeffs[n] - 2.0 / n) <= 1e-12
+
+    def test_koebe_logarithmic_coefficients_are_exact_over_the_rationals(self):
+        # log(k(z)/z) = -2 log(1 - z) = 2 sum z^k / k, so gamma_k = 1/k exactly
+        koebe = TruncatedSeries(tuple(Fraction(n) for n in range(9)))
+        gammas = gamma_sequence(koebe, 7)
+        assert gammas == [Fraction(1, k) for k in range(1, 8)]
+        assert all(type(g) is Fraction for g in gammas)
 
     def test_first_family_trivial_member(self):
         f = TruncatedSeries((0, 1, 0.5, 1 / 3, 0.25))
@@ -228,7 +236,7 @@ class TestEvaluate:
 
 
 def _coefficient(rng: random.Random):
-    """Outside data of every kind the constructor takes: signed zeros, ints,
+    """Outside data of the kinds the float path meets: signed zeros, ints,
     floats and complex numbers."""
     kind = rng.randrange(6)
     if kind == 0:
@@ -295,13 +303,18 @@ class TestBitForBit:
     dyadic data, equals rational arithmetic there."""
 
     @pytest.mark.parametrize("order", ORDERS)
-    def test_constructor_coerces_outside_data(self, order):
+    def test_constructor_holds_outside_data_as_given(self, order):
         rng = random.Random(order)
         data = [_coefficient(rng) for _ in range(order + 1)]
-        assert bits(TruncatedSeries(tuple(data))) == tuple(
-            (complex(c).real.hex(), complex(c).imag.hex()) for c in data
-        )
-        assert bits(TruncatedSeries.from_polynomial(data, order + 2))[-2:] == (("0x0.0p+0",) * 2,) * 2
+        data += [Fraction(-1, 3), np.float64(-0.0), np.int64(3), np.complex128(0.5j)]
+        held = TruncatedSeries(tuple(data)).coeffs
+        assert len(held) == len(data) and all(c is d for c, d in zip(held, data))
+        # a polynomial pads with exact zeros of its constant term's type, never -0.0
+        for head in (data[0], 0, -0.0, Fraction(-2, 7), np.float64(-0.0), complex(-0.0, -0.0)):
+            padded = TruncatedSeries.from_polynomial((head, *data[1:]), len(data) + 1).coeffs
+            assert all(c is d for c, d in zip(padded, (head, *data[1:])))
+            assert [type(z) for z in padded[-2:]] == [type(head)] * 2
+            assert bits(TruncatedSeries(padded[-2:])) == (("0x0.0p+0",) * 2,) * 2
 
     @pytest.mark.parametrize("order", ORDERS)
     def test_binary_operations(self, order):
@@ -355,17 +368,11 @@ class TestBitForBit:
             assert bits(log_over_z(f)) == bits(reference.log_over_z(f))
 
     def test_results_hold_python_complex(self):
+        # the float entry point coerces: a product of numpy scalars expands to
+        # Python complex, and so does everything computed from it;
         # np.complex128 is a subclass of complex, so the check is by exact type
-        a = TruncatedSeries((np.complex128(1 + 1j), np.float64(0.5), 2))
-        assert bits(a) == bits(TruncatedSeries((1 + 1j, 0.5, 2)))
-        b = TruncatedSeries.from_polynomial((np.complex128(-0.0), np.int64(3)), 3)
-        assert bits(b) == bits(TruncatedSeries.from_polynomial((-0.0, 3), 3))
-        w = TruncatedSeries.from_polynomial((0, np.float64(0.5), np.complex128(0.25j)), 3)
-        blaschke = BlaschkeProduct((np.complex128(0.5 - 0.25j),), np.complex128(-1j))
-        for result in (
-            member_series(F3, w, 4),
-            taylor_of_blaschke(blaschke, 4),
-            antiderivative(b),
-            b.truncate(1),
-        ):
-            bits(result)
+        blaschke = BlaschkeProduct((np.complex128(0.5 - 0.25j), np.float64(-0.5)), np.complex128(-1j))
+        w = taylor_of_blaschke(blaschke, 4)
+        f = member_series(F3, w, 4)
+        for result in (w, f, log_over_z(f), antiderivative(w), w.truncate(1)):
+            assert all(type(c) is complex for c in result.coeffs), result.coeffs
